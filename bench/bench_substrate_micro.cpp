@@ -1,9 +1,12 @@
 // google-benchmark microbenchmarks of the simulation substrates: they
 // document the simulator's own capacity (events/s, flow recompute cost,
-// indexed lookups), not any paper result.
+// policy-scan and path-resolve cost, indexed lookups), not any paper
+// result.
 #include <benchmark/benchmark.h>
 
 #include "metadb/tsm_export.hpp"
+#include "pfs/filesystem.hpp"
+#include "pfs/policy.hpp"
 #include "pftool/core/queues.hpp"
 #include "simcore/flow_network.hpp"
 #include "simcore/rng.hpp"
@@ -65,6 +68,81 @@ void BM_FlowNetworkRecompute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FlowNetworkRecompute)->Arg(16)->Arg(64)->Arg(256);
+
+// A fig10-shaped archive namespace: /proj/u<50>/d<10>/f<100>, 50,000
+// files aged an hour.  `resident_pct` percent of them (every n-th) stay
+// resident; the rest are migrated stubs, as after an ILM cycle.
+struct ScanTree {
+  static constexpr int kUsers = 50, kDirs = 10, kFiles = 100;
+  sim::Simulation sim;
+  pfs::FileSystem fs;
+
+  explicit ScanTree(int resident_pct)
+      : fs(sim, pfs::FsConfig{"gpfs", 4ULL << 20,
+                              {pfs::PoolConfig{"fast", 0, 4, false}},
+                              1e6 / 600.0}) {
+    int n = 0;
+    for (int u = 0; u < kUsers; ++u) {
+      for (int d = 0; d < kDirs; ++d) {
+        const std::string dir =
+            "/proj/u" + std::to_string(u) + "/d" + std::to_string(d);
+        fs.mkdirs(dir);
+        for (int f = 0; f < kFiles; ++f, ++n) {
+          const std::string path = dir + "/f" + std::to_string(f);
+          fs.create(path);
+          fs.write_all(path, 1 << 20, static_cast<std::uint64_t>(n));
+          if (n % 100 >= resident_pct) {
+            fs.premigrate(path);
+            fs.punch(path);
+          }
+        }
+      }
+    }
+    sim.run_until(sim::secs(3600));
+  }
+  static std::string file(int i) {
+    return "/proj/u" + std::to_string(i / (kDirs * kFiles) % kUsers) + "/d" +
+           std::to_string(i / kFiles % kDirs) + "/f" + std::to_string(i % kFiles);
+  }
+};
+
+// One ILM list-policy scan with fig10's rule (path glob written first,
+// then residency and age), in host time per scanned inode.  Arg: percent of files
+// still resident, i.e. whose path the scan has to build.
+void BM_PolicyScan(benchmark::State& state) {
+  const ScanTree tree(static_cast<int>(state.range(0)));
+  pfs::PolicyEngine engine;
+  pfs::Rule rule;
+  rule.name = "ilm";
+  rule.action = pfs::Rule::Action::List;
+  rule.where = {pfs::Condition::path_glob("/proj/*"),
+                pfs::Condition::dmapi_is(pfs::DmapiState::Resident),
+                pfs::Condition::age_ge(1800)};
+  engine.add_rule(rule);
+  const auto inodes = static_cast<double>(tree.fs.total_inodes());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run_scan(tree.fs).inodes_scanned);
+  }
+  // An inverted rate: host time per scanned inode, printed as e.g. "50ns".
+  state.counters["per_inode"] = benchmark::Counter(
+      inodes,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PolicyScan)->Arg(0)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
+
+// Path resolution (exists() is resolve() and nothing else) of depth-4
+// file paths in the same tree.
+void BM_Resolve(benchmark::State& state) {
+  const ScanTree tree(0);
+  std::vector<std::string> paths;
+  for (int i = 0; i < 1024; ++i) paths.push_back(ScanTree::file(i * 48 + 7));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.fs.exists(paths[i++ % paths.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Resolve);
 
 void BM_TsmExportIndexedLookup(benchmark::State& state) {
   metadb::TsmExportDb db;

@@ -27,17 +27,26 @@ CTEST_ARGS=("$@")
 echo "== Release =="
 run_preset build-release -DCMAKE_BUILD_TYPE=Release
 
+# The repository benchmark's own tests: they build perfbench from these
+# sources and run each workload briefly, so the doctored-output checks and
+# the seed-2009 equality between fig10_campaign and
+# bench_fig10_datarate_per_job gate every change, not only benchmark ones.
+echo "== perfbench self-tests =="
+python3 -m unittest discover -s perfbench/tests
+
 echo "== ASan+UBSan =="
 run_preset build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCPA_SANITIZE=address,undefined
 
 # Differential oracle, explicitly and at full depth, under the sanitizer
-# build: 24 seeds x 4500 randomized flow-network mutations, each checked
-# bit-for-bit against the from-scratch water-filling reference (the full
-# ctest pass above already ran it once; this run is the gate that fails
-# loudly on any rate divergence).
+# build: 24 seeds x 4500 randomized flow-network mutations plus one
+# slot-recycling-heavy run, each mutation checked bit-for-bit against the
+# from-scratch water-filling reference (the full ctest pass above already
+# ran it once; this run is the gate that fails loudly on any rate
+# divergence).
 echo "== Flow-scheduler differential oracle (ASan) =="
-./build-asan/tests/simcore_test --gtest_filter='RandomChurn/FlowOracle.*'
+./build-asan/tests/simcore_test \
+  --gtest_filter='RandomChurn/FlowOracle.*:FlowOracleRecycling.*'
 
 # Churn-throughput smoke (Release build: this one is a perf measurement).
 # The bench cross-checks incremental vs reference rates at every checkpoint

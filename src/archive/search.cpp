@@ -27,12 +27,13 @@ sim::Tick MetadataCatalog::rebuild(const pfs::FileSystem& fs, unsigned streams) 
   });
 
   std::uint64_t inodes = 0;
-  fs.for_each_inode([&](const std::string& path, const pfs::InodeAttrs& a) {
+  fs.for_each_inode([&](const pfs::FileSystem::InodeView& v) {
+    const pfs::InodeAttrs& a = v.attrs();
     ++inodes;
     if (a.kind != pfs::FileKind::Regular) return;
     CatalogEntry e;
     e.fid = a.fid.packed();
-    e.path = path;
+    e.path = v.path();
     e.size = a.size;
     e.mtime = a.mtime;
     e.pool = a.pool;

@@ -2,23 +2,55 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 #include <utility>
 
 namespace cpa::pfs {
 
+namespace {
+
+/// Walks the components of an absolute path without allocating.
+class Components {
+ public:
+  explicit Components(std::string_view path) : path_(path) {}
+  /// Sets `comp` to the next component; false past the last one.
+  bool next(std::string_view* comp) {
+    if (pos_ >= path_.size()) return false;
+    std::size_t j = path_.find('/', pos_);
+    if (j == std::string_view::npos) j = path_.size();
+    *comp = path_.substr(pos_, j - pos_);
+    pos_ = j + 1;
+    return true;
+  }
+
+ private:
+  std::string_view path_;
+  std::size_t pos_ = 1;  // just past the leading '/'
+};
+
+bool bad_component(std::string_view c) {
+  return c.empty() || c == "." || c == "..";
+}
+
+/// Absolute, with no empty ("//"), "." or ".." component.
+bool well_formed(std::string_view path) {
+  if (path.empty() || path[0] != '/') return false;
+  Components it(path);
+  std::string_view comp;
+  while (it.next(&comp)) {
+    if (bad_component(comp)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool split_path(const std::string& path, std::vector<std::string>* parts) {
   parts->clear();
-  if (path.empty() || path[0] != '/') return false;
-  std::size_t i = 1;
-  while (i < path.size()) {
-    std::size_t j = path.find('/', i);
-    if (j == std::string::npos) j = path.size();
-    if (j == i) return false;  // empty component ("//")
-    std::string comp = path.substr(i, j - i);
-    if (comp == "." || comp == "..") return false;
-    parts->push_back(std::move(comp));
-    i = j + 1;
-  }
+  if (!well_formed(path)) return false;
+  Components it(path);
+  std::string_view comp;
+  while (it.next(&comp)) parts->emplace_back(comp);
   return true;
 }
 
@@ -47,82 +79,114 @@ FileSystem::FileSystem(sim::Simulation& sim, FsConfig cfg)
     pools_.push_back(PoolInfo{pc, 0});
   }
   // Root directory.
-  Inode root;
-  root.id = next_inode_++;
-  root.gen = next_gen_++;
-  root.kind = FileKind::Directory;
-  root.ctime = root.mtime = root.atime = sim_.now();
-  root_ = root.id;
-  inodes_.emplace(root.id, std::move(root));
+  root_ = &new_inode(FileKind::Directory, 0);
 }
 
-const FileSystem::Inode* FileSystem::resolve(const std::string& path) const {
-  std::vector<std::string> parts;
-  if (!split_path(path, &parts)) return nullptr;
-  const Inode* cur = &inodes_.at(root_);
-  for (const auto& comp : parts) {
-    if (cur->kind != FileKind::Directory) return nullptr;
-    auto it = cur->children.find(comp);
-    if (it == cur->children.end()) return nullptr;
-    cur = &inodes_.at(it->second);
+FileSystem::Inode& FileSystem::new_inode(FileKind kind, unsigned pool_idx) {
+  const InodeId id = next_inode_++;
+  if (id / kBlockInodes == blocks_.size()) {
+    blocks_.push_back(std::make_unique<Inode[]>(kBlockInodes));
+  }
+  Inode& n = blocks_[id / kBlockInodes][id % kBlockInodes];
+  n.id = id;
+  n.gen = next_gen_++;
+  n.kind = kind;
+  n.atime = n.mtime = n.ctime = sim_.now();
+  n.pool_idx = pool_idx;
+  ++live_inodes_;
+  return n;
+}
+
+void FileSystem::free_inode(Inode& n) {
+  n = Inode{};  // id 0 marks the slot dead; releases name and children
+  --live_inodes_;
+}
+
+const FileSystem::Inode* FileSystem::find_inode(InodeId id) const {
+  if (id >= next_inode_) return nullptr;
+  const Inode& n = blocks_[id / kBlockInodes][id % kBlockInodes];
+  return n.id == kInvalidInode ? nullptr : &n;
+}
+
+const FileSystem::Inode* FileSystem::resolve(std::string_view path) const {
+  // Any failure — malformed, missing, or through a file — is nullptr, so
+  // one pass both validates and walks.
+  if (path.empty() || path[0] != '/') return nullptr;
+  const Inode* cur = root_;
+  Components it(path);
+  std::string_view comp;
+  while (it.next(&comp)) {
+    if (bad_component(comp) || cur->kind != FileKind::Directory) return nullptr;
+    const auto c = cur->children.find(comp);
+    if (c == cur->children.end()) return nullptr;
+    cur = c->second;
   }
   return cur;
 }
 
-FileSystem::Inode* FileSystem::resolve(const std::string& path) {
+FileSystem::Inode* FileSystem::resolve(std::string_view path) {
   return const_cast<Inode*>(std::as_const(*this).resolve(path));
 }
 
-FileSystem::Inode* FileSystem::resolve_parent(const std::string& path,
-                                              std::string* leaf, Errc* err) {
-  std::vector<std::string> parts;
-  if (!split_path(path, &parts) || parts.empty()) {
+FileSystem::Inode* FileSystem::resolve_parent(std::string_view path,
+                                              std::string_view* leaf, Errc* err) {
+  // Validate first: a malformed path is InvalidArgument even where a
+  // walk would stop earlier at a missing directory.
+  Components it(path);
+  std::string_view comp;
+  if (!well_formed(path) || !it.next(&comp)) {
     *err = Errc::InvalidArgument;
     return nullptr;
   }
-  *leaf = parts.back();
-  Inode* cur = &inodes_.at(root_);
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+  Inode* cur = root_;
+  for (std::string_view next; it.next(&next); comp = next) {
     if (cur->kind != FileKind::Directory) {
       *err = Errc::NotADirectory;
       return nullptr;
     }
-    auto it = cur->children.find(parts[i]);
-    if (it == cur->children.end()) {
+    const auto c = cur->children.find(comp);
+    if (c == cur->children.end()) {
       *err = Errc::NotFound;
       return nullptr;
     }
-    cur = &inodes_.at(it->second);
+    cur = c->second;
   }
   if (cur->kind != FileKind::Directory) {
     *err = Errc::NotADirectory;
     return nullptr;
   }
+  *leaf = comp;
   *err = Errc::Ok;
   return cur;
 }
 
-InodeAttrs FileSystem::attrs_of(const Inode& n) const {
-  InodeAttrs a;
-  a.fid = FileId{n.id, n.gen};
-  a.kind = n.kind;
-  a.size = n.size;
-  a.atime = n.atime;
-  a.mtime = n.mtime;
-  a.ctime = n.ctime;
-  a.pool = pools_[n.pool_idx].config.name;
-  a.dmapi = n.dmapi;
-  a.content_tag = n.content_tag;
-  return a;
+FileSystem::Inode& FileSystem::add_child(Inode& parent, std::string_view leaf,
+                                         FileKind kind, unsigned pool_idx) {
+  Inode& child = new_inode(kind, pool_idx);
+  child.parent = &parent;
+  child.name = leaf;
+  parent.children.emplace(child.name, &child);
+  parent.mtime = sim_.now();
+  return child;
 }
 
-std::string FileSystem::rebuild_path(const Inode& n) const {
-  if (n.id == root_) return "/";
+void FileSystem::attrs_of(const Inode& n, InodeAttrs* out) const {
+  out->fid = n.fid();
+  out->kind = n.kind;
+  out->size = n.size;
+  out->atime = n.atime;
+  out->mtime = n.mtime;
+  out->ctime = n.ctime;
+  out->pool = pools_[n.pool_idx].config.name;
+  out->dmapi = n.dmapi;
+  out->content_tag = n.content_tag;
+}
+
+std::string FileSystem::rebuild_path(const Inode& n) {
+  if (n.parent == nullptr) return "/";
   std::vector<const std::string*> comps;
-  const Inode* cur = &n;
-  while (cur->id != root_) {
+  for (const Inode* cur = &n; cur->parent != nullptr; cur = cur->parent) {
     comps.push_back(&cur->name);
-    cur = &inodes_.at(cur->parent);
   }
   std::string out;
   for (auto it = comps.rbegin(); it != comps.rend(); ++it) {
@@ -158,7 +222,7 @@ void FileSystem::destroy_data(Inode& n, const std::string& path) {
   // Migrated stubs hold no disk bytes; others do.
   if (n.dmapi != DmapiState::Migrated) credit_pool(n.pool_idx, n.size);
   if (managed && dmapi_ != nullptr) {
-    dmapi_->on_managed_data_destroyed(path, FileId{n.id, n.gen});
+    dmapi_->on_managed_data_destroyed(path, n.fid());
   }
   n.dmapi = DmapiState::Resident;
   n.size = 0;
@@ -166,38 +230,28 @@ void FileSystem::destroy_data(Inode& n, const std::string& path) {
 }
 
 Result<InodeId> FileSystem::mkdir(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
   if (parent->children.count(leaf) != 0) return Errc::Exists;
-  Inode n;
-  n.id = next_inode_++;
-  n.gen = next_gen_++;
-  n.kind = FileKind::Directory;
-  n.atime = n.mtime = n.ctime = sim_.now();
-  n.parent = parent->id;
-  n.name = leaf;
-  const InodeId id = n.id;
-  parent->children.emplace(leaf, id);
-  parent->mtime = sim_.now();
-  inodes_.emplace(id, std::move(n));
-  return id;
+  return add_child(*parent, leaf, FileKind::Directory, 0).id;
 }
 
 Errc FileSystem::mkdirs(const std::string& path) {
-  std::vector<std::string> parts;
-  if (!split_path(path, &parts)) return Errc::InvalidArgument;
-  std::string cur;
-  for (const auto& comp : parts) {
-    cur += '/';
-    cur += comp;
-    const Inode* n = resolve(cur);
-    if (n == nullptr) {
-      auto r = mkdir(cur);
-      if (!r.ok()) return r.error();
-    } else if (n->kind != FileKind::Directory) {
+  // One walk from the root, creating each missing component in order.
+  if (!well_formed(path)) return Errc::InvalidArgument;
+  Inode* cur = root_;
+  Components it(path);
+  std::string_view comp;
+  while (it.next(&comp)) {
+    const auto c = cur->children.find(comp);
+    if (c == cur->children.end()) {
+      cur = &add_child(*cur, comp, FileKind::Directory, 0);
+    } else if (c->second->kind != FileKind::Directory) {
       return Errc::NotADirectory;
+    } else {
+      cur = c->second;
     }
   }
   return Errc::Ok;
@@ -205,7 +259,7 @@ Errc FileSystem::mkdirs(const std::string& path) {
 
 Result<FileId> FileSystem::create(const std::string& path,
                                   const std::string& pool_hint) {
-  std::string leaf;
+  std::string_view leaf;
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
@@ -215,32 +269,23 @@ Result<FileId> FileSystem::create(const std::string& path,
     pidx = pool_index(pool_hint);
     if (pidx < 0) return Errc::InvalidArgument;
   }
-  Inode n;
-  n.id = next_inode_++;
-  n.gen = next_gen_++;
-  n.kind = FileKind::Regular;
-  n.atime = n.mtime = n.ctime = sim_.now();
-  n.pool_idx = static_cast<unsigned>(pidx);
-  n.parent = parent->id;
-  n.name = leaf;
-  const FileId fid{n.id, n.gen};
-  parent->children.emplace(leaf, n.id);
-  parent->mtime = sim_.now();
-  inodes_.emplace(n.id, std::move(n));
-  return fid;
+  return add_child(*parent, leaf, FileKind::Regular, static_cast<unsigned>(pidx))
+      .fid();
 }
 
 Result<InodeAttrs> FileSystem::stat(const std::string& path) const {
   const Inode* n = resolve(path);
   if (n == nullptr) return Errc::NotFound;
-  return attrs_of(*n);
+  InodeAttrs a;
+  attrs_of(*n, &a);
+  return a;
 }
 
 Result<std::string> FileSystem::path_of(FileId fid) const {
-  auto it = inodes_.find(fid.inode);
-  if (it == inodes_.end()) return Errc::NotFound;
-  if (it->second.gen != fid.gen) return Errc::Stale;
-  return rebuild_path(it->second);
+  const Inode* n = find_inode(fid.inode);
+  if (n == nullptr) return Errc::NotFound;
+  if (n->gen != fid.gen) return Errc::Stale;
+  return rebuild_path(*n);
 }
 
 Result<std::vector<DirEntry>> FileSystem::readdir(const std::string& path) const {
@@ -249,9 +294,8 @@ Result<std::vector<DirEntry>> FileSystem::readdir(const std::string& path) const
   if (n->kind != FileKind::Directory) return Errc::NotADirectory;
   std::vector<DirEntry> out;
   out.reserve(n->children.size());
-  for (const auto& [name, id] : n->children) {
-    const Inode& c = inodes_.at(id);
-    out.push_back(DirEntry{name, id, c.kind});
+  for (const auto& [name, c] : n->children) {
+    out.push_back(DirEntry{name, c->id, c->kind});
   }
   return out;
 }
@@ -261,10 +305,10 @@ Errc FileSystem::unlink(const std::string& path) {
   if (n == nullptr) return Errc::NotFound;
   if (n->kind == FileKind::Directory) return Errc::IsADirectory;
   destroy_data(*n, path);
-  Inode& parent = inodes_.at(n->parent);
+  Inode& parent = *n->parent;
   parent.children.erase(n->name);
   parent.mtime = sim_.now();
-  inodes_.erase(n->id);
+  free_inode(*n);
   return Errc::Ok;
 }
 
@@ -272,34 +316,34 @@ Errc FileSystem::rmdir(const std::string& path) {
   Inode* n = resolve(path);
   if (n == nullptr) return Errc::NotFound;
   if (n->kind != FileKind::Directory) return Errc::NotADirectory;
-  if (n->id == root_) return Errc::InvalidArgument;
+  if (n == root_) return Errc::InvalidArgument;
   if (!n->children.empty()) return Errc::NotEmpty;
-  Inode& parent = inodes_.at(n->parent);
+  Inode& parent = *n->parent;
   parent.children.erase(n->name);
   parent.mtime = sim_.now();
-  inodes_.erase(n->id);
+  free_inode(*n);
   return Errc::Ok;
 }
 
 Errc FileSystem::rename(const std::string& from, const std::string& to) {
   Inode* src = resolve(from);
   if (src == nullptr) return Errc::NotFound;
-  if (src->id == root_) return Errc::InvalidArgument;
-  std::string leaf;
+  if (src == root_) return Errc::InvalidArgument;
+  std::string_view leaf;
   Errc err = Errc::Ok;
   Inode* new_parent = resolve_parent(to, &leaf, &err);
   if (new_parent == nullptr) return err;
   if (new_parent->children.count(leaf) != 0) return Errc::Exists;
   // Reject moving a directory into its own subtree.
-  for (const Inode* a = new_parent; a->id != root_; a = &inodes_.at(a->parent)) {
-    if (a->id == src->id) return Errc::InvalidArgument;
+  for (const Inode* a = new_parent; a != root_; a = a->parent) {
+    if (a == src) return Errc::InvalidArgument;
   }
-  Inode& old_parent = inodes_.at(src->parent);
+  Inode& old_parent = *src->parent;
   old_parent.children.erase(src->name);
   old_parent.mtime = sim_.now();
-  src->parent = new_parent->id;
+  src->parent = new_parent;
   src->name = leaf;
-  new_parent->children.emplace(leaf, src->id);
+  new_parent->children.emplace(src->name, src);
   new_parent->mtime = sim_.now();
   return Errc::Ok;
 }
@@ -344,7 +388,7 @@ Result<std::uint64_t> FileSystem::read_tag(const std::string& path) const {
   if (n->kind != FileKind::Regular) return Errc::IsADirectory;
   if (n->dmapi == DmapiState::Migrated) {
     if (dmapi_ != nullptr) {
-      dmapi_->on_read_offline(path, FileId{n->id, n->gen});
+      dmapi_->on_read_offline(path, n->fid());
     }
     return Errc::Offline;
   }
@@ -447,10 +491,54 @@ unsigned FileSystem::pool_nsd_base(const std::string& pool) const {
   return i < 0 ? 0 : pool_nsd_base_[static_cast<std::size_t>(i)];
 }
 
+/// Per-scan state: the visited inode's attributes, filled into one reused
+/// record, and the path cache.  Each directory's path is built once, from
+/// its parent's cached path; a file's path is its directory's plus one
+/// append into a reused buffer.
+struct FileSystem::Scan {
+  InodeAttrs attrs;
+  std::unordered_map<const Inode*, std::string> dirs;  // node-stable refs
+  std::string file;
+
+  const std::string& dir(const Inode& d) {
+    const auto it = dirs.find(&d);
+    if (it != dirs.end()) return it->second;
+    std::string path;
+    if (d.parent != nullptr) {
+      path = dir(*d.parent);
+      if (path.size() > 1) path += '/';  // only the root's path is "/"
+      path += d.name;
+    } else {
+      path = "/";
+    }
+    return dirs.emplace(&d, std::move(path)).first->second;
+  }
+
+  const std::string& path_of(const Inode& n) {
+    if (n.kind == FileKind::Directory) return dir(n);
+    const std::string& d = dir(*n.parent);
+    file.assign(d);
+    if (file.size() > 1) file += '/';
+    file += n.name;
+    return file;
+  }
+};
+
+const InodeAttrs& FileSystem::InodeView::attrs() const { return scan_->attrs; }
+
+const std::string& FileSystem::InodeView::path() const {
+  if (path_ == nullptr) path_ = &scan_->path_of(*node_);
+  return *path_;
+}
+
 void FileSystem::for_each_inode(
-    const std::function<void(const std::string&, const InodeAttrs&)>& fn) const {
-  for (const auto& [id, n] : inodes_) {
-    fn(rebuild_path(n), attrs_of(n));
+    const std::function<void(const InodeView&)>& fn) const {
+  Scan scan;
+  for (InodeId id = 1; id < next_inode_; ++id) {
+    const Inode& n = blocks_[id / kBlockInodes][id % kBlockInodes];
+    if (n.id == kInvalidInode) continue;  // freed
+    attrs_of(n, &scan.attrs);
+    fn(InodeView(n, scan));
   }
 }
 

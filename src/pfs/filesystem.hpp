@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pfs/common.hpp"
@@ -86,8 +88,13 @@ class DmapiListener {
 };
 
 class FileSystem {
+  struct Inode;
+  struct Scan;
+
  public:
   FileSystem(sim::Simulation& sim, FsConfig cfg);
+  FileSystem(const FileSystem&) = delete;  // inodes link by pointer
+  FileSystem& operator=(const FileSystem&) = delete;
 
   [[nodiscard]] const FsConfig& config() const { return cfg_; }
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
@@ -143,41 +150,71 @@ class FileSystem {
   [[nodiscard]] unsigned total_nsds() const { return total_nsds_; }
 
   // --- scans ---------------------------------------------------------------
-  /// Visits every inode (files and directories) in inode order with its
-  /// full path.  Pure traversal; pair with `scan_duration` for timing.
-  void for_each_inode(
-      const std::function<void(const std::string& path, const InodeAttrs&)>& fn) const;
+  /// One inode as `for_each_inode` presents it: attributes by reference
+  /// to a record the scan refills per inode, the full path only when asked
+  /// for.  Valid only inside the visitor call; the visitor must not mutate
+  /// the file system.
+  class InodeView {
+   public:
+    [[nodiscard]] const InodeAttrs& attrs() const;
+    /// Full path.  Built on first call from the scan's directory-path
+    /// cache: a file's path is its directory's cached path plus one
+    /// append into a buffer the scan reuses.
+    [[nodiscard]] const std::string& path() const;
+
+   private:
+    friend class FileSystem;
+    InodeView(const Inode& node, Scan& scan) : node_(&node), scan_(&scan) {}
+    const Inode* node_;
+    Scan* scan_;
+    mutable const std::string* path_ = nullptr;
+  };
+
+  /// Visits every inode (files and directories) in ascending inode order.
+  /// Pure traversal; pair with `scan_duration` for timing.
+  void for_each_inode(const std::function<void(const InodeView&)>& fn) const;
   /// Virtual time for a policy scan of `inodes` inodes split over
   /// `streams` parallel scan streams (GPFS runs one per node).
   [[nodiscard]] sim::Tick scan_duration(std::uint64_t inodes, unsigned streams) const;
 
-  [[nodiscard]] std::uint64_t total_inodes() const { return inodes_.size(); }
+  [[nodiscard]] std::uint64_t total_inodes() const { return live_inodes_; }
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] const sim::Simulation& sim() const { return sim_; }
 
  private:
   struct Inode {
-    InodeId id = kInvalidInode;
+    InodeId id = kInvalidInode;  // kInvalidInode: a free table slot
     std::uint64_t gen = 1;
-    FileKind kind = FileKind::Regular;
     std::uint64_t size = 0;
     sim::Tick atime = 0, mtime = 0, ctime = 0;
-    unsigned pool_idx = 0;
-    DmapiState dmapi = DmapiState::Resident;
     std::uint64_t content_tag = 0;
-    // Tree links.
-    InodeId parent = kInvalidInode;
-    std::string name;                         // entry name in parent
-    std::map<std::string, InodeId> children;  // directories only
+    unsigned pool_idx = 0;
+    FileKind kind = FileKind::Regular;
+    DmapiState dmapi = DmapiState::Resident;
+    // Tree links.  Inodes never move (see blocks_), so the links are
+    // plain pointers.
+    Inode* parent = nullptr;    // nullptr only for the root
+    std::string name;           // entry name in parent
+    std::map<std::string, Inode*, std::less<>> children;  // directories only
+    [[nodiscard]] FileId fid() const { return FileId{id, gen}; }
   };
 
-  [[nodiscard]] const Inode* resolve(const std::string& path) const;
-  [[nodiscard]] Inode* resolve(const std::string& path);
+  [[nodiscard]] const Inode* resolve(std::string_view path) const;
+  [[nodiscard]] Inode* resolve(std::string_view path);
   /// Resolves the parent directory of `path`; sets `leaf` to the last
-  /// component.  Returns nullptr (with `err`) on failure.
-  Inode* resolve_parent(const std::string& path, std::string* leaf, Errc* err);
-  [[nodiscard]] InodeAttrs attrs_of(const Inode& n) const;
-  [[nodiscard]] std::string rebuild_path(const Inode& n) const;
+  /// component (a view into `path`).  Returns nullptr (with `err`) on
+  /// failure.
+  Inode* resolve_parent(std::string_view path, std::string_view* leaf, Errc* err);
+  /// Allocates the next inode id's slot.
+  Inode& new_inode(FileKind kind, unsigned pool_idx);
+  void free_inode(Inode& n);
+  /// The live inode with this id, or nullptr.
+  [[nodiscard]] const Inode* find_inode(InodeId id) const;
+  /// Creates a child inode named `leaf` under `parent`.
+  Inode& add_child(Inode& parent, std::string_view leaf, FileKind kind,
+                   unsigned pool_idx);
+  void attrs_of(const Inode& n, InodeAttrs* out) const;
+  [[nodiscard]] static std::string rebuild_path(const Inode& n);
   [[nodiscard]] int pool_index(const std::string& name) const;
   Errc charge_pool(unsigned pool_idx, std::uint64_t bytes);
   void credit_pool(unsigned pool_idx, std::uint64_t bytes);
@@ -189,8 +226,14 @@ class FileSystem {
   std::vector<PoolInfo> pools_;
   std::vector<unsigned> pool_nsd_base_;
   unsigned total_nsds_ = 0;
-  std::map<InodeId, Inode> inodes_;  // ordered for deterministic scans
-  InodeId root_ = kInvalidInode;
+  /// The inode table, like GPFS's inode file: inode id i lives in slot
+  /// i % kBlockInodes of block i / kBlockInodes.  Lookup by id is O(1),
+  /// addresses never move, and a scan walks memory in ascending id order.
+  /// Ids are never reused; a freed inode's slot stays behind with id 0.
+  static constexpr InodeId kBlockInodes = 512;
+  std::vector<std::unique_ptr<Inode[]>> blocks_;
+  std::uint64_t live_inodes_ = 0;
+  Inode* root_ = nullptr;
   InodeId next_inode_ = 1;
   std::uint64_t next_gen_ = 1;
   DmapiListener* dmapi_ = nullptr;

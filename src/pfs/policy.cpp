@@ -16,9 +16,24 @@ bool cmp_u64(Condition::Op op, std::uint64_t lhs, std::uint64_t rhs) {
   return false;
 }
 
+/// Rule matching with the path supplied on demand by `path()`.
+template <typename PathFn>
+bool match_where(const std::vector<Condition>& where, const InodeAttrs& a,
+                 sim::Tick now, const PathFn& path) {
+  for (const Condition& c : where) {
+    if (c.field != Condition::Field::PathGlob && !c.eval({}, a, now)) return false;
+  }
+  for (const Condition& c : where) {
+    if (c.field == Condition::Field::PathGlob && !c.eval(path(), a, now)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-bool Condition::eval(const std::string& path, const InodeAttrs& a,
+bool Condition::eval(std::string_view path, const InodeAttrs& a,
                      sim::Tick now) const {
   switch (field) {
     case Field::SizeBytes:
@@ -121,12 +136,14 @@ Condition Condition::dmapi_not(DmapiState s) {
   return c;
 }
 
-bool Rule::matches(const std::string& path, const InodeAttrs& a,
+bool Rule::matches(std::string_view path, const InodeAttrs& a,
                    sim::Tick now) const {
-  for (const Condition& c : where) {
-    if (!c.eval(path, a, now)) return false;
-  }
-  return true;
+  return match_where(where, a, now, [path] { return path; });
+}
+
+bool Rule::matches(const FileSystem::InodeView& v, sim::Tick now) const {
+  return match_where(where, v.attrs(), now,
+                     [&v]() -> const std::string& { return v.path(); });
 }
 
 std::string Rule::to_string() const {
@@ -169,24 +186,24 @@ ScanReport PolicyEngine::run_scan(const FileSystem& fs, unsigned streams) const 
   for (const Rule& r : rules_) {
     if (r.action != Rule::Action::Place) report.matches[r.name];
   }
-  fs.for_each_inode([&](const std::string& path, const InodeAttrs& a) {
+  fs.for_each_inode([&](const FileSystem::InodeView& v) {
     ++report.inodes_scanned;
-    if (a.kind != FileKind::Regular) return;
+    if (v.attrs().kind != FileKind::Regular) return;
     bool claimed = false;
     for (const Rule& r : rules_) {
       switch (r.action) {
         case Rule::Action::Place:
           break;  // create-time only
         case Rule::Action::List:
-          if (r.matches(path, a, now)) {
-            report.matches[r.name].push_back(PolicyMatch{path, a});
+          if (r.matches(v, now)) {
+            report.matches[r.name].push_back(PolicyMatch{v.path(), v.attrs()});
           }
           break;
         case Rule::Action::MigrateToPool:
         case Rule::Action::MigrateExternal:
         case Rule::Action::Delete:
-          if (!claimed && r.matches(path, a, now)) {
-            report.matches[r.name].push_back(PolicyMatch{path, a});
+          if (!claimed && r.matches(v, now)) {
+            report.matches[r.name].push_back(PolicyMatch{v.path(), v.attrs()});
             claimed = true;  // first-match semantics
           }
           break;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -41,7 +42,7 @@ struct Condition {
   std::string str;
   DmapiState state = DmapiState::Resident;
 
-  [[nodiscard]] bool eval(const std::string& path, const InodeAttrs& a,
+  [[nodiscard]] bool eval(std::string_view path, const InodeAttrs& a,
                           sim::Tick now) const;
   [[nodiscard]] std::string to_string() const;
 
@@ -69,8 +70,13 @@ struct Rule {
   std::string target;
   std::vector<Condition> where;  // conjunction; empty = match everything
 
-  [[nodiscard]] bool matches(const std::string& path, const InodeAttrs& a,
+  /// Conditions are pure and AND-ed, so they are tested in the cheapest
+  /// order: every non-path condition first, then the path globs.
+  [[nodiscard]] bool matches(std::string_view path, const InodeAttrs& a,
                              sim::Tick now) const;
+  /// As above for a scanned inode: its path is built only if every
+  /// non-path condition holds.
+  [[nodiscard]] bool matches(const FileSystem::InodeView& v, sim::Tick now) const;
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 namespace cpa::sim {
 namespace {
@@ -29,7 +28,7 @@ void FlowNetwork::set_pool_capacity(PoolId pool, double capacity_bps) {
   if (pools_[pool.idx].members.empty() && !full_recompute_) return;
   seed_pools_.clear();
   seed_pools_.push_back(pool.idx);
-  recompute_components(seed_pools_, 0);
+  recompute_components(seed_pools_, kNoSlot);
   schedule_next_completion();
 }
 
@@ -55,8 +54,8 @@ double FlowNetwork::pool_allocated(PoolId pool) const {
   assert(pool.valid() && pool.idx < pools_.size());
   double sum = 0.0;
   for (const PoolMember& m : pools_[pool.idx].members) {
-    const auto it = flows_.find(m.flow);
-    sum += it->second.rate * it->second.legs[m.leg].weight;
+    const Flow& f = slots_[m.slot];
+    sum += f.rate * f.legs[m.leg].weight;
   }
   return sum;
 }
@@ -66,8 +65,35 @@ FlowId FlowNetwork::start_flow(std::vector<PathLeg> path, double bytes,
                                double max_rate) {
   assert(bytes >= 0.0);
   assert(max_rate > 0.0);
-  Flow f;
-  f.legs.reserve(path.size());
+  const Tick now = sim_.now();
+  const std::uint64_t id = next_flow_id_++;
+
+  if (probe_ != nullptr) probe_->on_flow_started(id, bytes, now);
+
+  if (bytes <= kByteEps) {
+    // Degenerate flow: complete immediately (via the event queue), but
+    // keep the queued completion cancellable through abort_flow.
+    FlowStats st{now, now, bytes};
+    const Simulation::EventId ev =
+        sim_.after(0, [this, id, cb = std::move(on_complete), st] {
+          zero_flows_.erase(id);
+          if (probe_ != nullptr) probe_->on_flow_completed(id, st);
+          if (cb) cb(st);
+        });
+    zero_flows_.emplace(id, ev);
+    return FlowId{id};
+  }
+
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Flow& f = slots_[slot];
+  f.legs.clear();  // keeps the capacity of the slot's previous occupant
   for (const PathLeg& leg : path) {
     assert(leg.pool.valid() && leg.pool.idx < pools_.size());
     assert(leg.weight > 0.0);
@@ -79,37 +105,21 @@ FlowId FlowNetwork::start_flow(std::vector<PathLeg> path, double bytes,
         break;
       }
     }
-    if (!merged) f.legs.push_back(Leg{leg.pool.idx, leg.weight, 0});
+    if (!merged) f.legs.push_back(Leg{leg.weight, leg.pool.idx, 0});
   }
+  f.id = id;
   f.bytes_total = bytes;
+  f.bytes_done = 0.0;
+  f.rate = 0.0;
   f.max_rate = max_rate;
-  f.started = sim_.now();
-  f.rate_epoch = sim_.now();
+  f.started = now;
+  f.rate_epoch = now;
   f.on_complete = std::move(on_complete);
+  slot_of_.emplace(id, slot);
 
-  const std::uint64_t id = next_flow_id_++;
-
-  if (probe_ != nullptr) probe_->on_flow_started(id, bytes, sim_.now());
-
-  if (bytes <= kByteEps) {
-    // Degenerate flow: complete immediately (via the event queue), but
-    // keep the queued completion cancellable through abort_flow.
-    FlowStats st{f.started, sim_.now(), bytes};
-    const Simulation::EventId ev =
-        sim_.after(0, [this, id, cb = std::move(f.on_complete), st] {
-          zero_flows_.erase(id);
-          if (probe_ != nullptr) probe_->on_flow_completed(id, st);
-          if (cb) cb(st);
-        });
-    zero_flows_.emplace(id, ev);
-    return FlowId{id};
-  }
-
-  auto [it, inserted] = flows_.emplace(id, std::move(f));
-  assert(inserted);
-  attach_flow(id, it->second);
+  attach_flow(slot);
   seed_pools_.clear();
-  recompute_components(seed_pools_, id);
+  recompute_components(seed_pools_, slot);
   schedule_next_completion();
   return FlowId{id};
 }
@@ -122,37 +132,55 @@ bool FlowNetwork::abort_flow(FlowId id) {
     if (probe_ != nullptr) probe_->on_flow_aborted(id.id, sim_.now());
     return true;
   }
-  const auto it = flows_.find(id.id);
-  if (it == flows_.end()) return false;
-  Flow& f = it->second;
-  detach_flow(f);
+  const auto it = slot_of_.find(id.id);
+  if (it == slot_of_.end()) return false;
+  const std::uint32_t slot = it->second;
+  slot_of_.erase(it);
+  detach_flow(slot);
   seed_pools_.clear();
-  for (const Leg& leg : f.legs) seed_pools_.push_back(leg.pool);
-  flows_.erase(it);
-  recompute_components(seed_pools_, 0);
+  for (const Leg& leg : slots_[slot].legs) seed_pools_.push_back(leg.pool);
+  free_slot(slot);
+  recompute_components(seed_pools_, kNoSlot);
   schedule_next_completion();
   if (probe_ != nullptr) probe_->on_flow_aborted(id.id, sim_.now());
   return true;
 }
 
+const FlowNetwork::Flow* FlowNetwork::find_flow(FlowId id) const {
+  const auto it = slot_of_.find(id.id);
+  return it == slot_of_.end() ? nullptr : &slots_[it->second];
+}
+
 double FlowNetwork::flow_rate(FlowId id) const {
-  const auto it = flows_.find(id.id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  const Flow* f = find_flow(id);
+  return f == nullptr ? 0.0 : f->rate;
 }
 
 double FlowNetwork::flow_bytes_done(FlowId id) const {
-  const auto it = flows_.find(id.id);
-  if (it == flows_.end()) return 0.0;
-  const Flow& f = it->second;
-  const double dt = to_seconds(sim_.now() - f.rate_epoch);
-  return std::min(f.bytes_total, f.bytes_done + f.rate * dt);
+  const Flow* f = find_flow(id);
+  if (f == nullptr) return 0.0;
+  const double dt = to_seconds(sim_.now() - f->rate_epoch);
+  return std::min(f->bytes_total, f->bytes_done + f->rate * dt);
 }
 
 std::vector<FlowId> FlowNetwork::live_flow_ids() const {
   std::vector<FlowId> out;
-  out.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) out.push_back(FlowId{id});
+  out.reserve(slot_of_.size());
+  for (const Flow& f : slots_) {
+    if (f.id != 0) out.push_back(FlowId{f.id});
+  }
+  std::sort(out.begin(), out.end(),
+            [](FlowId a, FlowId b) { return a.id < b.id; });
   return out;
+}
+
+void FlowNetwork::free_slot(std::uint32_t slot) {
+  Flow& f = slots_[slot];
+  f.id = 0;
+  ++f.gen;  // tombstones any queued prediction, now and after reuse
+  f.pred_live = false;
+  f.on_complete = nullptr;  // releases the callback's captures now
+  free_slots_.push_back(slot);
 }
 
 void FlowNetwork::sync_flow(Flow& f, Tick now) {
@@ -162,26 +190,27 @@ void FlowNetwork::sync_flow(Flow& f, Tick now) {
   f.rate_epoch = now;
 }
 
-void FlowNetwork::attach_flow(std::uint64_t id, Flow& f) {
+void FlowNetwork::attach_flow(std::uint32_t slot) {
   const Tick now = sim_.now();
-  for (std::uint32_t i = 0; i < f.legs.size(); ++i) {
-    Pool& p = pools_[f.legs[i].pool];
+  std::vector<Leg>& legs = slots_[slot].legs;
+  for (std::uint32_t i = 0; i < legs.size(); ++i) {
+    Pool& p = pools_[legs[i].pool];
     if (p.members.empty()) p.busy_since = now;  // idle -> active transition
-    f.legs[i].member_pos = static_cast<std::uint32_t>(p.members.size());
-    p.members.push_back(PoolMember{id, i});
+    legs[i].member_pos = static_cast<std::uint32_t>(p.members.size());
+    p.members.push_back(PoolMember{slot, i});
   }
 }
 
-void FlowNetwork::detach_flow(Flow& f) {
+void FlowNetwork::detach_flow(std::uint32_t slot) {
   const Tick now = sim_.now();
-  for (const Leg& leg : f.legs) {
+  for (const Leg& leg : slots_[slot].legs) {
     Pool& p = pools_[leg.pool];
     const std::uint32_t pos = leg.member_pos;
     const PoolMember moved = p.members.back();
     p.members.pop_back();
     if (pos < p.members.size()) {
       p.members[pos] = moved;
-      flows_.find(moved.flow)->second.legs[moved.leg].member_pos = pos;
+      slots_[moved.slot].legs[moved.leg].member_pos = pos;
     }
     if (p.members.empty()) {
       p.busy_seconds += to_seconds(now - p.busy_since);  // active -> idle
@@ -189,22 +218,27 @@ void FlowNetwork::detach_flow(Flow& f) {
   }
 }
 
-void FlowNetwork::predict_completion(std::uint64_t id, Flow& f, Tick now) {
-  ++f.pred_gen;  // tombstone any queued prediction
+void FlowNetwork::predict_completion(std::uint32_t slot, Tick now) {
+  Flow& f = slots_[slot];
   const double remaining = f.bytes_total - f.bytes_done;
-  Tick at;
-  if (remaining <= kByteEps) {
-    at = now;
-  } else if (f.rate > 0.0) {
-    const double s = remaining / f.rate;
-    if (s >= kNeverSeconds) return;  // effectively stalled
-    // Round up to the next tick so the flow is certainly finished when
-    // the event fires.
-    at = now + static_cast<Tick>(std::ceil(s * static_cast<double>(kTicksPerSec)));
-  } else {
-    return;  // stalled: re-predicted when a mutation restores its rate
+  // Seconds to go.  A stalled flow (rate 0, bytes remaining) gets no
+  // prediction: it is re-predicted when a mutation restores its rate.
+  double s = 0.0;
+  if (remaining > kByteEps) s = f.rate > 0.0 ? remaining / f.rate : kNeverSeconds;
+  if (s >= kNeverSeconds) {
+    if (f.pred_live) ++f.gen;  // tombstone the queued prediction
+    f.pred_live = false;
+    return;
   }
-  finish_q_.push(FinishEntry{at, next_pred_order_++, id, f.pred_gen});
+  // Round up to the next tick so the flow is certainly finished when the
+  // event fires.
+  const Tick at =
+      now + static_cast<Tick>(std::ceil(s * static_cast<double>(kTicksPerSec)));
+  if (f.pred_live && f.pred_at == at) return;  // the queued entry still holds
+  ++f.gen;
+  f.pred_at = at;
+  f.pred_live = true;
+  finish_q_.push(FinishEntry{at, slot, f.gen});
 }
 
 void FlowNetwork::solve_component(std::vector<WfFlow*>& unfixed,
@@ -228,7 +262,9 @@ void FlowNetwork::solve_component(std::vector<WfFlow*>& unfixed,
   while (!unfixed.empty()) {
     for (const std::uint32_t p : comp_pools) weight_sum[p] = 0.0;
     for (const WfFlow* f : unfixed) {
-      for (const Leg& leg : *f->legs) weight_sum[leg.pool] += leg.weight;
+      for (const Leg* l = f->legs; l != f->legs_end; ++l) {
+        weight_sum[l->pool] += l->weight;
+      }
     }
 
     double share = std::numeric_limits<double>::infinity();
@@ -244,7 +280,9 @@ void FlowNetwork::solve_component(std::vector<WfFlow*>& unfixed,
 
     auto fix_flow = [&](WfFlow* f, double rate) {
       f->rate = rate;
-      for (const Leg& leg : *f->legs) residual[leg.pool] -= rate * leg.weight;
+      for (const Leg* l = f->legs; l != f->legs_end; ++l) {
+        residual[l->pool] -= rate * l->weight;
+      }
     };
 
     // Flows that traverse no pools at all are limited only by their cap.
@@ -277,8 +315,8 @@ void FlowNetwork::solve_component(std::vector<WfFlow*>& unfixed,
     for (std::size_t i = 0; i < unfixed.size();) {
       WfFlow* f = unfixed[i];
       bool through = false;
-      for (const Leg& leg : *f->legs) {
-        if (leg.pool == bottleneck) {
+      for (const Leg* l = f->legs; l != f->legs_end; ++l) {
+        if (l->pool == bottleneck) {
           through = true;
           break;
         }
@@ -294,8 +332,37 @@ void FlowNetwork::solve_component(std::vector<WfFlow*>& unfixed,
   }
 }
 
+void FlowNetwork::solve_sorted(const std::vector<SlotRef>& comp,
+                               const std::vector<std::uint32_t>& comp_pools,
+                               std::vector<double>& residual,
+                               std::vector<double>& weight_sum,
+                               std::vector<Leg>& legs,
+                               std::vector<WfFlow>& items,
+                               std::vector<WfFlow*>& unfixed) const {
+  for (const std::uint32_t p : comp_pools) {
+    residual[p] = pools_[p].capacity;
+    weight_sum[p] = 0.0;
+  }
+  legs.clear();
+  for (const auto& [id, slot] : comp) {
+    const std::vector<Leg>& fl = slots_[slot].legs;
+    legs.insert(legs.end(), fl.begin(), fl.end());
+  }
+  items.clear();
+  unfixed.clear();
+  items.reserve(comp.size());
+  const Leg* next = legs.data();
+  for (const auto& [id, slot] : comp) {
+    const Flow& f = slots_[slot];
+    items.push_back(WfFlow{next, next + f.legs.size(), f.max_rate, 0.0});
+    next += f.legs.size();
+  }
+  for (WfFlow& item : items) unfixed.push_back(&item);
+  solve_component(unfixed, comp_pools, residual, weight_sum);
+}
+
 void FlowNetwork::recompute_components(
-    const std::vector<std::uint32_t>& seed_pools, std::uint64_t seed_flow) {
+    const std::vector<std::uint32_t>& seed_pools, std::uint32_t seed_slot) {
   const Tick now = sim_.now();
   ++mark_epoch_;
   if (pool_mark_.size() < pools_.size()) pool_mark_.resize(pools_.size(), 0);
@@ -305,90 +372,70 @@ void FlowNetwork::recompute_components(
   }
   std::size_t touched = 0;
 
+  // Adds a pool's unvisited member flows to the component.
+  const auto collect_members = [&](std::uint32_t pool) {
+    for (const PoolMember& m : pools_[pool].members) {
+      Flow& mf = slots_[m.slot];
+      if (mf.mark != mark_epoch_) {
+        mf.mark = mark_epoch_;
+        comp_.emplace_back(mf.id, m.slot);
+      }
+    }
+  };
+
   // Expands the connected component reachable from a seed flow or pool
-  // (whichever is already collected in comp_flows_/comp_pools_), then
-  // re-solves it canonically: flows ascending by id, pools ascending.
+  // (whichever is already collected in comp_/comp_pools_), then re-solves
+  // it canonically: flows ascending by id, pools ascending.
   const auto expand_and_solve = [&] {
-    for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
-      for (const Leg& leg : comp_flows_[i]->legs) {
+    for (std::size_t i = 0; i < comp_.size(); ++i) {
+      for (const Leg& leg : slots_[comp_[i].second].legs) {
         if (pool_mark_[leg.pool] == mark_epoch_) continue;
         pool_mark_[leg.pool] = mark_epoch_;
         comp_pools_.push_back(leg.pool);
-        for (const PoolMember& m : pools_[leg.pool].members) {
-          Flow& mf = flows_.find(m.flow)->second;
-          if (mf.mark != mark_epoch_) {
-            mf.mark = mark_epoch_;
-            comp_flow_ids_.push_back(m.flow);
-            comp_flows_.push_back(&mf);
-          }
-        }
+        collect_members(leg.pool);
       }
     }
-    if (comp_flows_.empty()) return;
-    std::sort(comp_flow_ids_.begin(), comp_flow_ids_.end());
+    if (comp_.empty()) return;
+    std::sort(comp_.begin(), comp_.end());
     std::sort(comp_pools_.begin(), comp_pools_.end());
-    comp_flows_.clear();
-    for (const std::uint64_t cid : comp_flow_ids_) {
-      comp_flows_.push_back(&flows_.find(cid)->second);
+    for (const auto& [id, slot] : comp_) {
+      sync_flow(slots_[slot], now);  // accrue bytes at the outgoing rate
     }
-
-    for (const std::uint32_t p : comp_pools_) {
-      residual_[p] = pools_[p].capacity;
-      weight_sum_[p] = 0.0;
+    solve_sorted(comp_, comp_pools_, residual_, weight_sum_, wf_legs_,
+                 wf_items_, wf_unfixed_);
+    for (std::size_t i = 0; i < comp_.size(); ++i) {
+      const std::uint32_t slot = comp_[i].second;
+      slots_[slot].rate = wf_items_[i].rate;
+      predict_completion(slot, now);
     }
-    wf_items_.clear();
-    wf_unfixed_.clear();
-    wf_items_.reserve(comp_flows_.size());
-    for (Flow* f : comp_flows_) {
-      sync_flow(*f, now);  // accrue bytes at the outgoing rate
-      wf_items_.push_back(WfFlow{&f->legs, f->max_rate, 0.0});
-    }
-    for (WfFlow& item : wf_items_) wf_unfixed_.push_back(&item);
-    solve_component(wf_unfixed_, comp_pools_, residual_, weight_sum_);
-    for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
-      Flow& f = *comp_flows_[i];
-      f.rate = wf_items_[i].rate;
-      predict_completion(comp_flow_ids_[i], f, now);
-    }
-    touched += comp_flows_.size();
+    touched += comp_.size();
   };
 
-  const auto seed_with_flow = [&](std::uint64_t id, Flow& f) {
-    comp_flows_.clear();
-    comp_flow_ids_.clear();
+  const auto seed_with_flow = [&](std::uint32_t slot) {
+    comp_.clear();
     comp_pools_.clear();
+    Flow& f = slots_[slot];
     f.mark = mark_epoch_;
-    comp_flow_ids_.push_back(id);
-    comp_flows_.push_back(&f);
+    comp_.emplace_back(f.id, slot);
     expand_and_solve();
   };
 
   if (full_recompute_) {
-    for (auto& [id, f] : flows_) {
-      if (f.mark != mark_epoch_) seed_with_flow(id, f);
+    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+      const Flow& f = slots_[slot];
+      if (f.id != 0 && f.mark != mark_epoch_) seed_with_flow(slot);
     }
   } else {
-    if (seed_flow != 0) {
-      const auto it = flows_.find(seed_flow);
-      if (it != flows_.end() && it->second.mark != mark_epoch_) {
-        seed_with_flow(seed_flow, it->second);
-      }
+    if (seed_slot != kNoSlot && slots_[seed_slot].mark != mark_epoch_) {
+      seed_with_flow(seed_slot);
     }
     for (const std::uint32_t p : seed_pools) {
       if (pool_mark_[p] == mark_epoch_ || pools_[p].members.empty()) continue;
-      comp_flows_.clear();
-      comp_flow_ids_.clear();
+      comp_.clear();
       comp_pools_.clear();
       pool_mark_[p] = mark_epoch_;
       comp_pools_.push_back(p);
-      for (const PoolMember& m : pools_[p].members) {
-        Flow& mf = flows_.find(m.flow)->second;
-        if (mf.mark != mark_epoch_) {
-          mf.mark = mark_epoch_;
-          comp_flow_ids_.push_back(m.flow);
-          comp_flows_.push_back(&mf);
-        }
-      }
+      collect_members(p);
       expand_and_solve();
     }
   }
@@ -399,60 +446,46 @@ void FlowNetwork::recompute_components(
 std::vector<std::pair<std::uint64_t, double>>
 FlowNetwork::recompute_rates_reference() const {
   std::vector<std::pair<std::uint64_t, double>> out;
-  out.reserve(flows_.size());
-  if (flows_.empty()) return out;
+  out.reserve(slot_of_.size());
+  if (slot_of_.empty()) return out;
 
   // Mirrors recompute_components() with local scratch: same component
   // discovery, same canonical ordering, same solver — so the floating
   // point sequences match the incremental path operation for operation.
   std::vector<char> pool_seen(pools_.size(), 0);
-  std::unordered_set<std::uint64_t> flow_seen;
+  std::vector<char> flow_seen(slots_.size(), 0);
   std::vector<double> residual(pools_.size(), 0.0);
   std::vector<double> weight_sum(pools_.size(), 0.0);
   std::vector<std::uint32_t> comp_pools;
-  std::vector<std::uint64_t> comp_ids;
-  std::vector<const Flow*> work;
+  std::vector<SlotRef> comp;
+  std::vector<Leg> legs;
   std::vector<WfFlow> items;
   std::vector<WfFlow*> unfixed;
 
-  for (const auto& [id, f] : flows_) {
-    if (!flow_seen.insert(id).second) continue;
+  for (std::uint32_t seed = 0; seed < slots_.size(); ++seed) {
+    if (slots_[seed].id == 0 || flow_seen[seed]) continue;
+    flow_seen[seed] = 1;
     comp_pools.clear();
-    comp_ids.clear();
-    work.clear();
-    comp_ids.push_back(id);
-    work.push_back(&f);
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      for (const Leg& leg : work[i]->legs) {
+    comp.clear();
+    comp.emplace_back(slots_[seed].id, seed);
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      for (const Leg& leg : slots_[comp[i].second].legs) {
         if (pool_seen[leg.pool]) continue;
         pool_seen[leg.pool] = 1;
         comp_pools.push_back(leg.pool);
         for (const PoolMember& m : pools_[leg.pool].members) {
-          if (flow_seen.insert(m.flow).second) {
-            comp_ids.push_back(m.flow);
-            work.push_back(&flows_.find(m.flow)->second);
+          if (!flow_seen[m.slot]) {
+            flow_seen[m.slot] = 1;
+            comp.emplace_back(slots_[m.slot].id, m.slot);
           }
         }
       }
     }
-    std::sort(comp_ids.begin(), comp_ids.end());
+    std::sort(comp.begin(), comp.end());
     std::sort(comp_pools.begin(), comp_pools.end());
-
-    for (const std::uint32_t p : comp_pools) {
-      residual[p] = pools_[p].capacity;
-      weight_sum[p] = 0.0;
-    }
-    items.clear();
-    unfixed.clear();
-    items.reserve(comp_ids.size());
-    for (const std::uint64_t cid : comp_ids) {
-      const Flow& cf = flows_.find(cid)->second;
-      items.push_back(WfFlow{&cf.legs, cf.max_rate, 0.0});
-    }
-    for (WfFlow& item : items) unfixed.push_back(&item);
-    solve_component(unfixed, comp_pools, residual, weight_sum);
-    for (std::size_t i = 0; i < comp_ids.size(); ++i) {
-      out.emplace_back(comp_ids[i], items[i].rate);
+    solve_sorted(comp, comp_pools, residual, weight_sum, legs, items, unfixed);
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      out.emplace_back(comp[i].first, items[i].rate);
     }
   }
   std::sort(out.begin(), out.end());
@@ -460,14 +493,9 @@ FlowNetwork::recompute_rates_reference() const {
 }
 
 void FlowNetwork::schedule_next_completion() {
-  while (!finish_q_.empty()) {
-    const FinishEntry& e = finish_q_.top();
-    const auto it = flows_.find(e.flow);
-    if (it == flows_.end() || it->second.pred_gen != e.gen) {
-      finish_q_.pop();  // tombstoned prediction
-      continue;
-    }
-    break;
+  while (!finish_q_.empty() &&
+         slots_[finish_q_.top().slot].gen != finish_q_.top().gen) {
+    finish_q_.pop();  // tombstoned prediction
   }
   if (completion_event_.valid()) {
     sim_.cancel(completion_event_);
@@ -484,48 +512,46 @@ void FlowNetwork::on_completion_event() {
 
   // Collect finished flows first (callbacks may start new flows), looping
   // because freeing a finished flow's bandwidth can reveal further
-  // same-tick completions in the recomputed component.
-  struct Done {
-    std::uint64_t id;
-    FlowStats st;
-    std::function<void(const FlowStats&)> cb;
-  };
+  // same-tick completions in the recomputed component.  The callbacks run
+  // from a buffer taken out of `done_`, so a callback that re-enters the
+  // network never sees it half-consumed.
   std::vector<Done> done;
-  std::vector<std::uint64_t> due;
+  done.swap(done_);
   for (;;) {
-    due.clear();
+    due_.clear();
     while (!finish_q_.empty()) {
       const FinishEntry& e = finish_q_.top();
-      const auto it = flows_.find(e.flow);
-      if (it == flows_.end() || it->second.pred_gen != e.gen) {
+      Flow& f = slots_[e.slot];
+      if (f.gen != e.gen) {
         finish_q_.pop();  // tombstoned prediction
         continue;
       }
       if (e.at > now) break;
-      due.push_back(e.flow);
+      f.pred_live = false;
+      due_.emplace_back(f.id, e.slot);
       finish_q_.pop();
     }
-    if (due.empty()) break;
-    std::sort(due.begin(), due.end());  // complete in ascending-id order
+    if (due_.empty()) break;
+    std::sort(due_.begin(), due_.end());  // complete in ascending-id order
     seed_pools_.clear();
     bool finished_any = false;
-    for (const std::uint64_t id : due) {
-      const auto it = flows_.find(id);
-      Flow& f = it->second;
+    for (const auto& [id, slot] : due_) {
+      Flow& f = slots_[slot];
       sync_flow(f, now);
       if (f.bytes_total - f.bytes_done <= kByteEps) {
-        detach_flow(f);
+        detach_flow(slot);
         for (const Leg& leg : f.legs) seed_pools_.push_back(leg.pool);
         done.push_back(Done{id, FlowStats{f.started, now, f.bytes_total},
                             std::move(f.on_complete)});
-        flows_.erase(it);
+        slot_of_.erase(id);
+        free_slot(slot);
         finished_any = true;
       } else {
         // Integer-tick rounding fired us a hair early: re-aim.
-        predict_completion(id, f, now);
+        predict_completion(slot, now);
       }
     }
-    if (finished_any) recompute_components(seed_pools_, 0);
+    if (finished_any) recompute_components(seed_pools_, kNoSlot);
   }
   schedule_next_completion();
 
@@ -533,6 +559,8 @@ void FlowNetwork::on_completion_event() {
     if (probe_ != nullptr) probe_->on_flow_completed(d.id, d.st);
     if (d.cb) d.cb(d.st);
   }
+  done.clear();
+  done_ = std::move(done);  // hand the buffer back, capacity intact
 }
 
 }  // namespace cpa::sim

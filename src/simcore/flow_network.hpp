@@ -14,9 +14,11 @@
 // Progress accounting is lazy: each flow carries a rate epoch and accrues
 // bytes only when its own rate changes (or when it is queried), so
 // quiescent flows cost nothing per event.  Pool busy time is integrated
-// from idle/active transitions.  `recompute_rates_reference()` performs
-// the full from-scratch water-filling; the incremental path is required
-// (and differentially tested) to produce bit-identical rates.
+// from idle/active transitions.  Flows live in a dense slot array with a
+// free list; pool membership and completion predictions name slots, so the
+// hot paths never look a flow up by id.  `recompute_rates_reference()`
+// performs the full from-scratch water-filling; the incremental path is
+// required (and differentially tested) to produce bit-identical rates.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include <map>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -114,7 +117,7 @@ class FlowNetwork {
   /// the flow's last rate change).
   [[nodiscard]] double flow_bytes_done(FlowId id) const;
 
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const { return slot_of_.size(); }
 
   /// Ids of all in-progress flows, ascending (oracle/test accessor).
   [[nodiscard]] std::vector<FlowId> live_flow_ids() const;
@@ -136,10 +139,10 @@ class FlowNetwork {
   void set_probe(FlowProbe* probe) { probe_ = probe; }
 
  private:
-  /// Membership entry: which flow, and which of its legs, sits in a pool.
-  /// The leg backpointer makes removal O(1) via swap-erase.
+  /// Membership entry: which flow slot, and which of its legs, sits in a
+  /// pool.  The leg backpointer makes removal O(1) via swap-erase.
   struct PoolMember {
-    std::uint64_t flow;
+    std::uint32_t slot;
     std::uint32_t leg;
   };
   struct Pool {
@@ -150,57 +153,82 @@ class FlowNetwork {
     std::vector<PoolMember> members;
   };
   struct Leg {
-    std::uint32_t pool;
     double weight;
+    std::uint32_t pool;
     std::uint32_t member_pos = 0;  // index into Pool::members
   };
+  /// One slot of the dense flow array.  A slot is live while `id != 0`;
+  /// freed slots go on a free list and keep their leg capacity for the
+  /// next occupant.  `gen` only ever grows over the slot's lifetime: it is
+  /// bumped by every new completion prediction and when the slot is
+  /// freed, so a queued FinishEntry is live iff its gen still matches —
+  /// a recycled slot can never fire its previous occupant's prediction.
   struct Flow {
+    std::uint64_t id = 0;
     std::vector<Leg> legs;  // deduplicated (pool, weight) pairs
-    double bytes_total;
+    double bytes_total = 0.0;
     double bytes_done = 0.0;  // as of `rate_epoch`
     double rate = 0.0;
-    double max_rate;
-    Tick started;
-    Tick rate_epoch = 0;        // when bytes_done/rate were last synced
-    std::uint32_t pred_gen = 0;  // invalidates queued FinishEntry records
-    std::uint64_t mark = 0;      // component-BFS visit stamp
+    double max_rate = kUnlimited;
+    Tick started = 0;
+    Tick rate_epoch = 0;       // when bytes_done/rate were last synced
+    Tick pred_at = 0;          // tick of the live queued prediction
+    std::uint32_t gen = 0;     // see above
+    bool pred_live = false;    // a FinishEntry with `gen` is queued
+    std::uint64_t mark = 0;    // component-BFS visit stamp
     std::function<void(const FlowStats&)> on_complete;
   };
-  /// Water-filling working item; `legs` aliases the flow's leg list.
+  /// Water-filling working item; [legs, legs_end) is the flow's leg list
+  /// copied into the component's contiguous leg scratch.
   struct WfFlow {
-    const std::vector<Leg>* legs;
+    const Leg* legs;
+    const Leg* legs_end;
     double cap;
     double rate = 0.0;
   };
-  /// Predicted completion, lazily invalidated by Flow::pred_gen.
+  /// Predicted completion, lazily invalidated by Flow::gen.  Ties on `at`
+  /// need no order: every entry due at a tick is popped before any flow
+  /// completes, and due flows complete in ascending id order.
   struct FinishEntry {
     Tick at;
-    std::uint64_t order;  // FIFO among equal ticks
-    std::uint64_t flow;
+    std::uint32_t slot;
     std::uint32_t gen;
   };
   struct FinishLater {
     bool operator()(const FinishEntry& a, const FinishEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.order > b.order;
+      return a.at > b.at;
     }
   };
+  /// (flow id, slot): sorting by id gives the canonical solve order.
+  using SlotRef = std::pair<std::uint64_t, std::uint32_t>;
+  /// A completed flow whose callback runs after the completion sweep.
+  struct Done {
+    std::uint64_t id;
+    FlowStats st;
+    std::function<void(const FlowStats&)> cb;
+  };
 
+  /// Slot of a live flow, or nullptr (the FlowId API's only lookup).
+  [[nodiscard]] const Flow* find_flow(FlowId id) const;
+  /// Frees a detached flow's slot: tombstones its prediction and puts the
+  /// slot on the free list.
+  void free_slot(std::uint32_t slot);
   /// Accrues the flow's bytes up to `now` and stamps its rate epoch.
-  void sync_flow(Flow& f, Tick now);
+  static void sync_flow(Flow& f, Tick now);
   /// Inserts/removes the flow in its legs' pool membership indexes,
   /// integrating pool busy time on idle/active transitions.
-  void attach_flow(std::uint64_t id, Flow& f);
-  void detach_flow(Flow& f);
-  /// Pushes a fresh completion prediction for the flow (tombstoning any
-  /// queued one).  Stalled flows (rate 0, bytes remaining) get none.
-  void predict_completion(std::uint64_t id, Flow& f, Tick now);
+  void attach_flow(std::uint32_t slot);
+  void detach_flow(std::uint32_t slot);
+  /// Predicts the flow's completion tick.  An unchanged tick keeps the
+  /// queued entry; otherwise it is tombstoned and a fresh one pushed.
+  /// Stalled flows (rate 0, bytes remaining) get none.
+  void predict_completion(std::uint32_t slot, Tick now);
   /// Re-solves the connected components reachable from the seed pools
-  /// (plus, for start_flow, the seed flow), or every component when
+  /// (plus, for start_flow, the seed flow slot), or every component when
   /// `full_recompute_` is set.  Flows in re-solved components have their
   /// bytes synced, rates reassigned, and completions re-predicted.
   void recompute_components(const std::vector<std::uint32_t>& seed_pools,
-                            std::uint64_t seed_flow);
+                            std::uint32_t seed_slot);
   /// Canonical per-component progressive filling.  `unfixed` must be in
   /// ascending flow-id order and `comp_pools` ascending; both orders are
   /// part of the determinism contract shared with the reference solver.
@@ -208,6 +236,14 @@ class FlowNetwork {
                               const std::vector<std::uint32_t>& comp_pools,
                               std::vector<double>& residual,
                               std::vector<double>& weight_sum);
+  /// Fills `items`/`legs` with the component's flows in `comp` order and
+  /// runs solve_component; item i holds the rate of comp[i].
+  void solve_sorted(const std::vector<SlotRef>& comp,
+                    const std::vector<std::uint32_t>& comp_pools,
+                    std::vector<double>& residual,
+                    std::vector<double>& weight_sum, std::vector<Leg>& legs,
+                    std::vector<WfFlow>& items,
+                    std::vector<WfFlow*>& unfixed) const;
   /// Cancels and reschedules the single sim event for the earliest
   /// predicted completion.
   void schedule_next_completion();
@@ -215,15 +251,19 @@ class FlowNetwork {
   /// through same-tick completions revealed by the recompute.
   void on_completion_event();
 
+  static constexpr std::uint32_t kNoSlot = std::uint32_t(-1);
+
   Simulation& sim_;
   FlowProbe* probe_ = nullptr;
   bool full_recompute_ = false;
   std::vector<Pool> pools_;
-  std::map<std::uint64_t, Flow> flows_;  // ordered: deterministic iteration
+  std::vector<Flow> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Live flow id -> slot, for the FlowId API only.
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
   /// Zero-byte flows whose queued completion can still be aborted.
   std::map<std::uint64_t, Simulation::EventId> zero_flows_;
   std::uint64_t next_flow_id_ = 1;
-  std::uint64_t next_pred_order_ = 1;
   std::uint64_t mark_epoch_ = 0;
   std::priority_queue<FinishEntry, std::vector<FinishEntry>, FinishLater>
       finish_q_;
@@ -234,10 +274,13 @@ class FlowNetwork {
   std::vector<double> weight_sum_;
   std::vector<std::uint64_t> pool_mark_;
   std::vector<std::uint32_t> comp_pools_;
-  std::vector<Flow*> comp_flows_;
-  std::vector<std::uint64_t> comp_flow_ids_;
+  std::vector<SlotRef> comp_;
+  std::vector<Leg> wf_legs_;
   std::vector<WfFlow> wf_items_;
   std::vector<WfFlow*> wf_unfixed_;
+  // Completion-event scratch.
+  std::vector<SlotRef> due_;
+  std::vector<Done> done_;
 };
 
 }  // namespace cpa::sim

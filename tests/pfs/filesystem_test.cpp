@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "simcore/units.hpp"
 
 namespace cpa::pfs {
@@ -314,12 +316,92 @@ TEST_F(FileSystemTest, ForEachInodeVisitsEverythingWithPaths) {
   ASSERT_EQ(fs_.mkdirs("/a/b"), Errc::Ok);
   ASSERT_TRUE(fs_.create("/a/b/f").ok());
   std::vector<std::string> paths;
-  fs_.for_each_inode([&](const std::string& p, const InodeAttrs&) {
-    paths.push_back(p);
+  fs_.for_each_inode([&](const FileSystem::InodeView& v) {
+    paths.push_back(v.path());
   });
   ASSERT_EQ(paths.size(), 4u);  // root, /a, /a/b, /a/b/f
   EXPECT_EQ(paths[0], "/");
   EXPECT_EQ(paths[3], "/a/b/f");
+}
+
+// Paths from the scan's directory cache must match path_of() even when a
+// directory was renamed under one created after it (child inode id <
+// new parent id, so no "parents come first in id order" shortcut holds),
+// after a sibling's unlink, and for "/" itself.
+TEST_F(FileSystemTest, ForEachInodePathsSurviveRenameUnderLaterDirectory) {
+  ASSERT_EQ(fs_.mkdirs("/a/b"), Errc::Ok);
+  ASSERT_TRUE(fs_.create("/a/b/f").ok());
+  ASSERT_TRUE(fs_.create("/a/b/g").ok());
+  ASSERT_TRUE(fs_.create("/top").ok());
+  ASSERT_TRUE(fs_.mkdir("/z").ok());
+  ASSERT_EQ(fs_.rename("/a/b", "/z/b"), Errc::Ok);
+  ASSERT_EQ(fs_.unlink("/z/b/g"), Errc::Ok);
+
+  std::vector<std::string> paths;
+  std::vector<InodeId> ids;
+  fs_.for_each_inode([&](const FileSystem::InodeView& v) {
+    // Asking twice returns the same string.
+    EXPECT_EQ(&v.path(), &v.path());
+    paths.push_back(v.path());
+    ids.push_back(v.attrs().fid.inode);
+    EXPECT_EQ(fs_.path_of(v.attrs().fid).value(), v.path());
+  });
+  const std::vector<std::string> want = {"/", "/a", "/z/b", "/z/b/f", "/top",
+                                         "/z"};
+  EXPECT_EQ(paths, want);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+}
+
+// A visitor that asks only for some files' paths (so directories enter the
+// cache in arbitrary order) sees the same paths as one that asks for all.
+TEST_F(FileSystemTest, ForEachInodeLazyPathsMatchEagerOnes) {
+  ASSERT_EQ(fs_.mkdirs("/p/q/r"), Errc::Ok);
+  ASSERT_EQ(fs_.mkdirs("/p/s"), Errc::Ok);
+  for (const char* f : {"/p/q/r/1", "/p/s/2", "/p/q/3", "/4", "/p/q/r/5"}) {
+    ASSERT_TRUE(fs_.create(f).ok());
+  }
+  ASSERT_EQ(fs_.rename("/p/q", "/p/s/q"), Errc::Ok);
+  std::vector<std::string> eager;
+  fs_.for_each_inode([&](const FileSystem::InodeView& v) {
+    if (v.attrs().kind == FileKind::Regular) eager.push_back(v.path());
+  });
+  std::vector<std::string> lazy;
+  std::size_t seen = 0;
+  fs_.for_each_inode([&](const FileSystem::InodeView& v) {
+    if (v.attrs().kind != FileKind::Regular) return;
+    if (seen++ % 2 == 1) lazy.push_back(v.path());
+  });
+  ASSERT_EQ(eager.size(), 5u);
+  EXPECT_EQ(eager[0], "/p/s/q/r/1");
+  EXPECT_EQ(eager[3], "/4");
+  EXPECT_EQ(lazy, (std::vector<std::string>{eager[1], eager[3]}));
+}
+
+TEST_F(FileSystemTest, MkdirsCreatesMissingComponentsInOrder) {
+  ASSERT_EQ(fs_.mkdir("/a").value(), 2u);
+  ASSERT_EQ(fs_.mkdirs("/a/b/c"), Errc::Ok);
+  EXPECT_EQ(fs_.stat("/a/b").value().fid.inode, 3u);
+  EXPECT_EQ(fs_.stat("/a/b/c").value().fid.inode, 4u);
+  EXPECT_EQ(fs_.mkdirs("/a/b/c"), Errc::Ok);  // idempotent
+  EXPECT_EQ(fs_.total_inodes(), 4u);
+  ASSERT_TRUE(fs_.create("/a/f").ok());
+  EXPECT_EQ(fs_.mkdirs("/a/f/g"), Errc::NotADirectory);
+  EXPECT_EQ(fs_.mkdirs("/a//g"), Errc::InvalidArgument);
+  EXPECT_EQ(fs_.mkdirs("/a/g/.."), Errc::InvalidArgument);
+  EXPECT_FALSE(fs_.exists("/a/g"));  // malformed: nothing created
+  EXPECT_EQ(fs_.mkdirs("/"), Errc::Ok);
+}
+
+TEST_F(FileSystemTest, ResolveRejectsMalformedPathsBeforeWalking) {
+  ASSERT_EQ(fs_.mkdirs("/a/b"), Errc::Ok);
+  EXPECT_TRUE(fs_.exists("/a/b/"));
+  EXPECT_FALSE(fs_.exists("a/b"));
+  EXPECT_FALSE(fs_.exists("/a/./b"));
+  // resolve_parent validates the whole path first: a malformed tail under
+  // a missing directory is InvalidArgument, not NotFound.
+  EXPECT_EQ(fs_.create("/missing/../f").error(), Errc::InvalidArgument);
+  EXPECT_EQ(fs_.create("/missing/f").error(), Errc::NotFound);
+  EXPECT_EQ(fs_.create("/").error(), Errc::InvalidArgument);
 }
 
 TEST_F(FileSystemTest, ScanDurationMatchesPaperCalibration) {

@@ -143,6 +143,54 @@ TEST_F(PolicyTest, ListRulesDoNotClaimFiles) {
   EXPECT_EQ(report.matches.at("mig").size(), 1u);
 }
 
+// run_scan tests a rule's non-path conditions before its glob.  With the
+// glob written first and a later dmapi/age condition failing for some
+// files, the matches (and their order) must equal evaluating every
+// condition in its written order.
+TEST_F(PolicyTest, GlobFirstRuleMatchesWrittenOrderEvaluation) {
+  make_file("/proj/a/old_resident", 10 * kMB);
+  make_file("/proj/a/old_migrated", 10 * kMB);
+  make_file("/other/old_resident", 10 * kMB);
+  sim_.run_until(sim::secs(3600));
+  make_file("/proj/b/young_resident", 10 * kMB);
+  make_file("/proj/a/young_premigrated", 10 * kMB);
+  ASSERT_EQ(fs_.premigrate("/proj/a/old_migrated"), Errc::Ok);
+  ASSERT_EQ(fs_.punch("/proj/a/old_migrated"), Errc::Ok);
+  ASSERT_EQ(fs_.premigrate("/proj/a/young_premigrated"), Errc::Ok);
+  sim_.run_until(sim::secs(3600 + 900));
+
+  Rule rule;
+  rule.name = "ilm";
+  rule.action = Rule::Action::List;
+  rule.where = {Condition::path_glob("/proj/*"),
+                Condition::dmapi_is(DmapiState::Resident),
+                Condition::age_ge(1800)};
+  engine_.add_rule(rule);
+  const ScanReport report = engine_.run_scan(fs_);
+
+  std::vector<std::string> written_order;
+  const sim::Tick now = sim_.now();
+  fs_.for_each_inode([&](const FileSystem::InodeView& v) {
+    if (v.attrs().kind != FileKind::Regular) return;
+    bool all = true;
+    for (const Condition& c : rule.where) {
+      if (!c.eval(v.path(), v.attrs(), now)) {
+        all = false;
+        break;
+      }
+    }
+    if (all) written_order.push_back(v.path());
+  });
+  std::vector<std::string> scanned;
+  for (const PolicyMatch& m : report.matches.at("ilm")) scanned.push_back(m.path);
+  EXPECT_EQ(scanned, written_order);
+  EXPECT_EQ(scanned, (std::vector<std::string>{"/proj/a/old_resident"}));
+  // The per-inode overload agrees with the path-string one.
+  fs_.for_each_inode([&](const FileSystem::InodeView& v) {
+    EXPECT_EQ(rule.matches(v, now), rule.matches(v.path(), v.attrs(), now));
+  });
+}
+
 TEST_F(PolicyTest, ScanDurationScalesWithStreams) {
   for (int i = 0; i < 50; ++i) {
     make_file("/bulk" + std::to_string(i), kMB);

@@ -305,6 +305,71 @@ TEST(FlowNetwork, CompletionCallbackMayStartNewFlow) {
 }
 
 // ---------------------------------------------------------------------------
+// Slot recycling: finished and aborted flows free their slots for new ones.
+// ---------------------------------------------------------------------------
+
+TEST(FlowNetwork, StaleIdsStayDeadAfterTheirSlotsAreReused) {
+  Simulation sim;
+  FlowNetwork net(sim);
+  const PoolId p = net.add_pool("p", 100 * kMBd);
+  const FlowId done = net.start_flow({p}, 10 * kMBd, nullptr);  // 0.2 s
+  const FlowId aborted = net.start_flow({p}, 1000 * kMBd, nullptr);
+  sim.run_until(secs(1));
+  EXPECT_TRUE(net.abort_flow(aborted));
+  EXPECT_EQ(net.active_flows(), 0u);
+
+  // Two new flows take over both freed slots; ids stay monotonic.
+  const FlowId a = net.start_flow({p}, 100 * kMBd, nullptr);
+  const FlowId b = net.start_flow({p}, 100 * kMBd, nullptr);
+  EXPECT_GT(a.id, aborted.id);
+  EXPECT_GT(b.id, a.id);
+  for (const FlowId stale : {done, aborted}) {
+    EXPECT_EQ(net.flow_rate(stale), 0.0);
+    EXPECT_EQ(net.flow_bytes_done(stale), 0.0);
+    EXPECT_FALSE(net.abort_flow(stale));
+  }
+  EXPECT_EQ(net.flow_rate(a), 50 * kMBd);
+  EXPECT_EQ(net.flow_rate(b), 50 * kMBd);
+  EXPECT_EQ(net.active_flows(), 2u);
+  EXPECT_EQ(net.live_flow_ids(), (std::vector<FlowId>{a, b}));
+}
+
+TEST(FlowNetwork, RecycledSlotNeverFiresPreviousOccupantsPrediction) {
+  Simulation sim;
+  FlowNetwork net(sim);
+  const PoolId p = net.add_pool("p", 100 * kMBd);
+  const PoolId q = net.add_pool("q", 100 * kMBd);
+  const PoolId z = net.add_pool("z", 0.0);
+  // `old` is predicted to finish at 1 s; `other` keeps a live completion
+  // at that same tick, so the completion event still fires there after
+  // `old` is aborted.
+  const FlowId old = net.start_flow({p}, 100 * kMBd, nullptr);
+  int other_done = 0;
+  net.start_flow({q}, 100 * kMBd, [&](const FlowStats&) { ++other_done; });
+  sim.run_until(secs(0.5));
+  ASSERT_TRUE(net.abort_flow(old));
+  // The stalled newcomer takes over old's slot and is never predicted, so
+  // only the slot generation tells old's queued entry apart from it.
+  int fired = 0;
+  FlowStats st;
+  const FlowId fresh = net.start_flow({z}, 10 * kMBd, [&](const FlowStats& s) {
+    ++fired;
+    st = s;
+  });
+  sim.run_until(secs(2));
+  EXPECT_EQ(other_done, 1);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(net.flow_bytes_done(fresh), 0.0);
+  EXPECT_EQ(net.flow_rate(fresh), 0.0);
+  net.set_pool_capacity(z, 100 * kMBd);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(st.started, secs(0.5));
+  EXPECT_NEAR(to_seconds(st.finished), 2.1, 1e-6);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Property sweep: max-min fairness invariants over random topologies.
 // ---------------------------------------------------------------------------
 

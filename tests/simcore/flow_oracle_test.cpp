@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <vector>
@@ -44,10 +45,42 @@ struct LiveFlow {
   std::vector<PathLeg> path;
 };
 
+/// Mutation mix of one churn run: cumulative dice thresholds for start,
+/// abort and capacity change (the rest advances time), and the largest
+/// flow size.
+struct ChurnMix {
+  double start = 0.45;
+  double abort = 0.65;
+  double capacity = 0.80;
+  double max_mb = 5000;
+};
+
+/// Drives `steps` random mutations and checks the incremental rates
+/// against the reference after each.  Returns the peak number of live
+/// flows; `*started` receives the number of flows started.
+std::size_t run_churn(std::uint64_t seed, const ChurnMix& mix, int steps,
+                      std::size_t* started);
+
 class FlowOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FlowOracle, IncrementalRatesMatchReferenceExactly) {
-  Rng rng(GetParam() * 0x9E3779B97F4A7C15ULL + 1);
+  std::size_t started = 0;
+  run_churn(GetParam(), ChurnMix{}, mutations_per_seed(), &started);
+}
+
+// Short flows, frequent aborts and time advances: the flow slots are
+// recycled thousands of times over, and every rate must still match.
+TEST(FlowOracleRecycling, SlotRecyclingHeavyChurnMatchesReferenceExactly) {
+  std::size_t started = 0;
+  const ChurnMix mix{0.50, 0.70, 0.75, 50};
+  const std::size_t peak = run_churn(77, mix, mutations_per_seed(), &started);
+  EXPECT_GT(started, 20 * peak);  // slots <= peak live flows
+}
+
+std::size_t run_churn(std::uint64_t seed, const ChurnMix& mix, int steps,
+                      std::size_t* started) {
+  std::size_t peak = 0;
+  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
   Simulation sim;
   FlowNetwork net(sim);
 
@@ -72,14 +105,14 @@ TEST_P(FlowOracle, IncrementalRatesMatchReferenceExactly) {
   const auto check = [&](int step) {
     const auto reference = net.recompute_rates_reference();
     const std::vector<FlowId> ids = net.live_flow_ids();
-    ASSERT_EQ(reference.size(), ids.size()) << "seed " << GetParam()
+    ASSERT_EQ(reference.size(), ids.size()) << "seed " << seed
                                             << " step " << step;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       ASSERT_EQ(reference[i].first, ids[i].id);
       const double incremental = net.flow_rate(ids[i]);
       // Exact: both paths must run the identical FP operation sequence.
       ASSERT_EQ(incremental, reference[i].second)
-          << "rate divergence: seed " << GetParam() << " step " << step
+          << "rate divergence: seed " << seed << " step " << step
           << " flow " << ids[i].id;
     }
     // Conservation invariants (tolerances only absorb benign last-ulp
@@ -87,13 +120,13 @@ TEST_P(FlowOracle, IncrementalRatesMatchReferenceExactly) {
     for (std::size_t p = 0; p < pools.size(); ++p) {
       ASSERT_LE(net.pool_allocated(pools[p]),
                 net.pool_capacity(pools[p]) * (1 + 1e-9) + 1e-9)
-          << "pool over capacity: seed " << GetParam() << " step " << step;
+          << "pool over capacity: seed " << seed << " step " << step;
     }
     for (const auto& [id, lf] : live) {
       const double r = net.flow_rate(lf.id);
       ASSERT_GE(r, 0.0);
       ASSERT_LE(r, lf.cap * (1 + 1e-9))
-          << "flow over cap: seed " << GetParam() << " step " << step;
+          << "flow over cap: seed " << seed << " step " << step;
       // Work conservation: a flow below its cap must cross a saturated
       // pool (otherwise max-min fairness would raise its rate).  A flow
       // stalled by a zero-capacity pool satisfies this via that pool
@@ -111,14 +144,13 @@ TEST_P(FlowOracle, IncrementalRatesMatchReferenceExactly) {
       }
       ASSERT_TRUE(saturated_leg)
           << "flow " << id << " below cap with no saturated pool: seed "
-          << GetParam() << " step " << step;
+          << seed << " step " << step;
     }
   };
 
-  const int steps = mutations_per_seed();
   for (int step = 0; step < steps; ++step) {
     const double dice = rng.uniform();
-    if (dice < 0.45 || live.empty()) {
+    if (dice < mix.start || live.empty()) {
       // Start a flow: 1-3 legs, usually inside one cluster, sometimes
       // bridging two (which must merge their components).
       const int cluster = static_cast<int>(rng.uniform_u64(
@@ -142,10 +174,11 @@ TEST_P(FlowOracle, IncrementalRatesMatchReferenceExactly) {
           rng.chance(0.3) ? rng.uniform(5, 100) * kMBd : FlowNetwork::kUnlimited;
       const double bytes = rng.chance(0.02)
                                ? 0.0  // degenerate zero-byte flow
-                               : rng.uniform(1, 5000) * kMBd;
+                               : rng.uniform(1, mix.max_mb) * kMBd;
       const FlowId id = net.start_flow(path, bytes, nullptr, cap);
+      ++*started;
       if (bytes > 0.0) live.emplace(id.id, LiveFlow{id, cap, std::move(path)});
-    } else if (dice < 0.65) {
+    } else if (dice < mix.abort) {
       // Abort a random live flow (may already have completed: then
       // abort_flow returns false and we just forget it).
       auto it = live.begin();
@@ -153,7 +186,7 @@ TEST_P(FlowOracle, IncrementalRatesMatchReferenceExactly) {
                            rng.uniform_u64(0, live.size() - 1)));
       net.abort_flow(it->second.id);
       live.erase(it);
-    } else if (dice < 0.80) {
+    } else if (dice < mix.capacity) {
       // Capacity churn, including full stalls and restores.
       const std::size_t p = static_cast<std::size_t>(
           rng.uniform_u64(0, pools.size() - 1));
@@ -182,16 +215,19 @@ TEST_P(FlowOracle, IncrementalRatesMatchReferenceExactly) {
       }
       for (const std::uint64_t id : gone) live.erase(id);
     }
-    ASSERT_NO_FATAL_FAILURE(check(step));
+    peak = std::max(peak, net.active_flows());
+    EXPECT_NO_FATAL_FAILURE(check(step));
+    if (::testing::Test::HasFatalFailure()) return peak;
   }
   // Drain: let everything finish; the network must end empty with the
   // reference agreeing on the (empty) rate vector.
   for (const auto& [id, lf] : live) net.abort_flow(lf.id);
   live.clear();
   sim.run();
-  ASSERT_NO_FATAL_FAILURE(check(steps));
+  EXPECT_NO_FATAL_FAILURE(check(steps));
   EXPECT_EQ(net.active_flows(), 0u);
   EXPECT_TRUE(net.recompute_rates_reference().empty());
+  return peak;
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomChurn, FlowOracle,
