@@ -61,7 +61,7 @@ void usage() {
       "[--quiescent-crash]\n"
       "                 [--md-batch=N]\n"
       "--md-batch=N group-commits server metadata txns N at a time (1 =\n"
-      "legacy stop-and-wait path; plant knob only, digests stay comparable)\n"
+      "one round-trip per txn; plant knob only, digests stay comparable)\n"
       "--crashes arms whole-archive power failures (WAL on) and adds the\n"
       "quiescent crash+recover metamorphic gate to each seed's battery\n"
       "env: CPA_CHECK_OPS sets the default op budget (default 300)\n");

@@ -92,9 +92,11 @@ echo "== Recovery smoke (ASan) =="
 ./build-asan/bench/bench_recovery --smoke --json=build-asan/BENCH_recovery.json
 
 # Metadata-batching smoke (under the sanitizer build): the group-commit
-# txn storm and the synchronous-delete sweep, batched (B=16, W=4) vs
-# stop-and-wait, over 1..8 servers.  The bench exits non-zero if the
-# one-server storm speeds up by less than the 5x acceptance bar.
+# txn storm and the synchronous-delete sweep, batched (B=16, W=4) vs one
+# round-trip per mutation (B=1), over 1..8 servers.  The bench exits
+# non-zero if the one-server B=1 storm does not cost exactly
+# txns x metadata_txn_cost, or if the one-server storm speeds up by less
+# than the 5x acceptance bar.
 echo "== Metadata-batching smoke (ASan) =="
 ./build-asan/bench/bench_md_batch --smoke --json=build-asan/BENCH_md_batch.json
 

@@ -78,11 +78,11 @@ struct ChaosConfig {
   bool tracing = true;
   /// Second tape copy pool, so corruption is normally repairable.
   unsigned tape_copies = 2;
-  /// Metadata batch size for the archive servers' object-DB path; 1 keeps
-  /// the legacy stop-and-wait txn chains (bit-identical goldens).  The
-  /// knob is plant configuration, not campaign grammar: it never feeds
-  /// render(), so the op sequence and replay digests of a (config, seed)
-  /// pair are comparable across batch sizes.
+  /// Metadata batch size for the archive servers' object-DB path; 1 sends
+  /// every mutation as its own round-trip.  The knob is plant
+  /// configuration, not campaign grammar: it never feeds render(), so the
+  /// op sequence and replay digests of a (config, seed) pair are
+  /// comparable across batch sizes.
   unsigned md_batch = 1;
   Doctor doctor = Doctor::None;
 
@@ -173,9 +173,5 @@ struct ChaosCampaign {
 /// The plant a campaign runs against: SystemConfig::small() refined with
 /// copy pools, tenant quotas, tracing, and the campaign's fault plan.
 [[nodiscard]] archive::SystemConfig plant_for(const ChaosCampaign& campaign);
-
-/// FNV-1a 64 over a string: the digest primitive shared by the golden
-/// campaign test and the chaos harness (stable across platforms).
-[[nodiscard]] std::uint64_t fnv1a64(const std::string& s);
 
 }  // namespace cpa::check

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "integrity/scrubber.hpp"
+#include "simcore/fnv1a.hpp"
 #include "simcore/units.hpp"
 
 namespace cpa::check {

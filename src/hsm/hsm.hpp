@@ -216,10 +216,10 @@ class HsmSystem : public pfs::DmapiListener {
   [[nodiscard]] unsigned server_count() const { return static_cast<unsigned>(servers_.size()); }
   [[nodiscard]] ArchiveServer& server(unsigned i) { return *servers_[i]; }
 
-  /// The ambient batching session fronting `server`'s metadata path.
-  /// Only meaningful when `config().server.batching()`; sessions are
-  /// created lazily, live for the system's lifetime, and are abandoned
-  /// (not destroyed) on power failure.
+  /// The session fronting `server`'s metadata path: every object-DB
+  /// mutation on `server` goes through it.  Sessions are created lazily,
+  /// live for the system's lifetime, and are abandoned (not destroyed) on
+  /// power failure.
   [[nodiscard]] TxnSession& session_for(ArchiveServer& server);
 
   /// Migrates `paths` from node `node` on a single drive: mounts one
@@ -356,7 +356,6 @@ class HsmSystem : public pfs::DmapiListener {
  private:
   struct MigrateJob;
   struct RecallJob;
-  struct UnitRecorder;
   struct ReclaimJob;
   struct ScrubJob;
 
@@ -376,9 +375,9 @@ class HsmSystem : public pfs::DmapiListener {
   std::uint64_t register_abort(std::function<void()> fn);
   void unregister_abort(std::uint64_t id);
 
-  /// Fires `k` once every op submitted to any batching session so far has
+  /// Fires `k` once every op submitted to any metadata session so far has
   /// applied (and, with a WAL, become durable).  Passthrough when no
-  /// session exists — i.e. whenever batching is off.
+  /// session exists yet.
   void drain_sessions(std::function<void()> k);
 
   /// Erases one object from the catalog with full media/fixity cascade
@@ -445,14 +444,12 @@ class HsmSystem : public pfs::DmapiListener {
       std::size_t alt_idx);
 
   void run_migrate_unit(std::shared_ptr<MigrateJob> job);
-  /// Chains one metadata transaction per object in the just-written unit.
-  void record_unit_objects(std::shared_ptr<MigrateJob> job,
-                           std::shared_ptr<UnitRecorder> rec);
-  /// Batched variant: builds every member object (and the aggregate) up
-  /// front and submits them as one pipelined batch sequence; the file
+  /// Records the just-written unit's objects (every member and the
+  /// aggregate) as one op each on the owning servers' sessions; the file
   /// state transition joins on the whole unit being applied + durable.
-  void record_unit_objects_batched(std::shared_ptr<MigrateJob> job,
-                                   std::shared_ptr<UnitRecorder> rec);
+  void record_unit_objects(std::shared_ptr<MigrateJob> job,
+                           std::uint64_t unit_oid, std::uint64_t cart_id,
+                           std::uint64_t seq);
   void finish_migrate(std::shared_ptr<MigrateJob> job);
   void run_recall_cart(std::shared_ptr<RecallJob> job, std::size_t work_idx);
   void run_recall_entry(std::shared_ptr<RecallJob> job, std::size_t work_idx,

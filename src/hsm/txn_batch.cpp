@@ -130,7 +130,7 @@ void TxnSession::send_batch() {
 
 void TxnSession::arm_timer() {
   const std::uint64_t timer = ++timer_gen_;
-  sim_.at(sim_.now() + cfg_.flush_timeout, [this, timer] {
+  sim_.at(sim_.now() + kFlushTimeout, [this, timer] {
     if (timer != timer_gen_) return;
     flush();
   });

@@ -1,15 +1,17 @@
 // Metadata transaction batching + pipelining session.
 //
-// A TxnSession fronts one ArchiveServer's metadata path: callers `submit`
-// object-DB mutations, the session coalesces them into batches of up to
-// `batch_size` and keeps up to `window` batched round-trips in flight
-// (async pipelining), replacing the stop-and-wait chains that paid one
-// full round-trip per mutation.  This is the CASTOR-style request
-// batching answer to the paper's Sec 6.4 single-server metadata wall.
+// A TxnSession fronts one ArchiveServer's metadata path and is the only
+// way an object-DB mutation reaches the server: callers `submit`
+// mutations, the session coalesces them into batches of up to
+// `batch_size` and keeps up to `window` round-trips in flight (async
+// pipelining).  `batch_size == 1` is the singleton configuration of the
+// same path: every op is its own round-trip at exactly one
+// `metadata_txn_cost`.  This is the CASTOR-style request batching answer
+// to the paper's Sec 6.4 single-server metadata wall.
 //
 // Flush triggers, all deterministic in virtual time:
 //   * size      — the forming batch reaches `batch_size`;
-//   * timeout   — `flush_timeout` after the first op entered an empty
+//   * timeout   — `kFlushTimeout` after the first op entered an empty
 //                 forming batch;
 //   * explicit  — `flush()` / `drain()`;
 //   * slot-free — a window slot frees while a flush is owed.
@@ -47,8 +49,9 @@ class TxnSession {
   struct Config {
     unsigned batch_size = 16;
     unsigned window = 4;
-    sim::Tick flush_timeout = sim::msecs(2);
   };
+  /// A partial batch flushes this long after its first op arrived.
+  static constexpr sim::Tick kFlushTimeout = sim::msecs(2);
   struct Hooks {
     /// Group-commit barrier run after a batch's ops apply; `done` fires
     /// when the batch is durable.  Unset => applied is durable at once.

@@ -10,7 +10,7 @@
 //   job (pftool) -> chunk -> flow            (pfs transfer path)
 //   job -> recall -> drive_wait / mount_wait (queueing on the plant)
 //                 -> read -> position / flow (tape mechanics + transfer)
-//                 -> md_txn                  (HSM metadata serialization)
+//                 -> md_batch                (HSM metadata round-trips)
 //   job -> retry_backoff                     (fault handling)
 //
 // For each job root the profiler walks the DAG *backwards*: at every

@@ -111,6 +111,35 @@ TEST(ObservabilityBatched, MdBatchCountersAccrueAndSaveRoundTrips) {
   EXPECT_EQ(m.counter_value("hsm.md_txn_saved"), ops - batches);
 }
 
+TEST(ObservabilityBatched, DefaultPlantCarriesEveryMutationThroughSession) {
+  // At the default B=1 there is no second metadata path: every round-trip
+  // the server serviced — migrate records, recall bookkeeping, both legs
+  // of a synchronous delete — came through a TxnSession as a one-op batch.
+  CotsParallelArchive sys(SystemConfig::small());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(sys.make_file(sys.archive_fs(), "/proj/f" + std::to_string(i),
+                            10 * kMB, 0xBEEF + static_cast<std::uint64_t>(i)),
+              pfs::Errc::Ok);
+  }
+  const std::vector<std::string> paths = {"/proj/f0", "/proj/f1", "/proj/f2",
+                                          "/proj/f3"};
+  sys.hsm().migrate_batch(0, paths, "proj", nullptr);
+  sys.sim().run();
+  unsigned recalled = 0;
+  sys.hsm().recall({paths[0], paths[1]}, hsm::RecallOptions{},
+                   [&](const hsm::RecallReport& r) { recalled = r.files_recalled; });
+  sys.sim().run();
+  ASSERT_EQ(recalled, 2u);
+  sys.hsm().synchronous_delete(paths[3], nullptr);
+  sys.sim().run();
+  const obs::MetricsRegistry& m = sys.observer().metrics();
+  const std::uint64_t batches = m.counter_value("hsm.md_batches");
+  EXPECT_GE(batches, 4u + 2u + 2u);
+  EXPECT_EQ(batches, m.counter_value("hsm.md_batch_ops"));
+  EXPECT_EQ(batches, sys.hsm().server(0).txns_completed());
+  EXPECT_EQ(m.find_counter("hsm.md_txn_saved"), nullptr);
+}
+
 TEST_F(ObservabilityTest, TracedRunCoversAllMajorSubsystems) {
   make_scratch_tree(6, 80 * kMB);
   const pftool::JobReport cp = sys_.pfcp_archive("/runs", "/proj/run");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "check/campaign.hpp"
+#include "simcore/fnv1a.hpp"
 
 namespace cpa::check {
 namespace {

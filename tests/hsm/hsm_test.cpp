@@ -281,6 +281,25 @@ TEST_F(HsmTest, SynchronousDeleteOfResidentFileJustUnlinks) {
   EXPECT_FALSE(fs_.exists("/arch/plain"));
 }
 
+// A singleton round-trip obeys the one power-fail rule.  On a default
+// (B=1) plant, the delete's first leg is in service when the power fails:
+// the server completes nothing and the caller hears Stale exactly once.
+TEST_F(HsmTest, PowerFailTearsSingletonRoundTripInService) {
+  make_file("/arch/f", kMB, 7);
+  hsm_.migrate_batch(0, {"/arch/f"}, "g", nullptr);
+  sim_.run();
+  const std::uint64_t txns0 = hsm_.server(0).txns_completed();
+  std::vector<pfs::Errc> verdicts;
+  hsm_.synchronous_delete("/arch/f",
+                          [&](pfs::Errc e) { verdicts.push_back(e); });
+  sim_.after(hsm_.config().server.metadata_txn_cost / 2,
+             [&] { hsm_.power_fail(); });
+  sim_.run();
+  EXPECT_EQ(verdicts, std::vector<pfs::Errc>{pfs::Errc::Stale});
+  EXPECT_EQ(hsm_.server(0).txns_completed(), txns0);
+  EXPECT_TRUE(fs_.exists("/arch/f"));  // the delete applied nothing
+}
+
 TEST_F(HsmTest, PlainUnlinkLeavesOrphanThatReconcileFinds) {
   make_file("/arch/f", 100 * kMB, 1);
   hsm_.migrate_batch(0, {"/arch/f"}, "g", nullptr);

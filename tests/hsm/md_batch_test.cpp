@@ -1,7 +1,7 @@
 // Metadata batching + pipelining: TxnSession flush triggers, ordering,
 // backpressure, amortized cost, and the power-fail atomicity contract
-// (an in-flight batch tears away whole — no partial apply, no callback
-// leak, no wedged queue).
+// (an in-flight round-trip, singleton or batch, tears away whole — no
+// partial apply, no callback leak, no wedged queue).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,10 +19,8 @@ class MdBatchTest : public ::testing::Test {
   MdBatchTest() : net_(sim_), server_(sim_, net_, "tsm0", ServerConfig{}) {}
 
   TxnSession session(unsigned batch_size, unsigned window,
-                     sim::Tick timeout = sim::msecs(2),
                      TxnSession::Hooks hooks = {}) {
-    return TxnSession(sim_, server_,
-                      TxnSession::Config{batch_size, window, timeout},
+    return TxnSession(sim_, server_, TxnSession::Config{batch_size, window},
                       std::move(hooks));
   }
 
@@ -30,12 +28,6 @@ class MdBatchTest : public ::testing::Test {
   sim::FlowNetwork net_{sim_};
   ArchiveServer server_;
 };
-
-TEST(MdBatchConfig, BatchingOffByDefault) {
-  const ServerConfig cfg;
-  EXPECT_EQ(cfg.md_batch_size, 1u);
-  EXPECT_FALSE(cfg.batching());
-}
 
 TEST(MdBatchConfig, BatchCostAmortizesAndDegeneratesToSingleton) {
   const ServerConfig cfg;
@@ -62,14 +54,13 @@ TEST_F(MdBatchTest, SizeTriggerDispatchesFullBatch) {
   sim_.run();
   EXPECT_EQ(applied, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(done_at, server_.config().batch_cost(4));
-  EXPECT_EQ(server_.batches_completed(), 1u);
   EXPECT_EQ(server_.batch_ops_completed(), 4u);
   EXPECT_EQ(server_.txns_completed(), 1u);  // one round-trip, not four
 }
 
 TEST_F(MdBatchTest, TimeoutFlushesPartialBatch) {
-  const sim::Tick timeout = sim::msecs(2);
-  auto s = session(/*batch_size=*/16, /*window=*/4, timeout);
+  const sim::Tick timeout = TxnSession::kFlushTimeout;
+  auto s = session(/*batch_size=*/16, /*window=*/4);
   bool applied = false;
   sim::Tick done_at = 0;
   s.submit([&applied] { applied = true; },
@@ -171,7 +162,7 @@ TEST_F(MdBatchTest, BarrierRunsOncePerBatchBeforeApplied) {
   };
   std::size_t last_batch = 0;
   hooks.on_batch = [&](std::size_t n) { last_batch = n; };
-  auto s = session(4, 4, sim::msecs(2), std::move(hooks));
+  auto s = session(4, 4, std::move(hooks));
   for (int i = 0; i < 8; ++i) {
     s.submit([] {}, {.applied = [&] {
                  // Applied implies the batch's barrier already ran.
@@ -208,7 +199,7 @@ TEST_F(MdBatchTest, PowerFailTearsInFlightBatchWholeAndStaysLive) {
   EXPECT_EQ(applied_ops, 0);   // nothing applied — torn whole
   EXPECT_EQ(applied_cbs, 0);   // no applied callback leaked
   EXPECT_FALSE(drained);       // no drain leaked
-  EXPECT_EQ(server_.batches_completed(), 0u);
+  EXPECT_EQ(server_.txns_completed(), 0u);
 
   // The session and server both stay usable after recovery.
   int after = 0;
@@ -238,27 +229,52 @@ TEST_F(MdBatchTest, AbandonDropsFormingAndOverflowSilently) {
 
 // Server-level half of the same contract, without a session in front.
 TEST_F(MdBatchTest, ServerBatchAtomicAgainstPowerFail) {
+  // One rule for every round-trip: a singleton is a batch of one.
   int applied = 0;
   bool done = false;
-  server_.metadata_batch(
-      {[&applied] { ++applied; }, [&applied] { ++applied; }},
-      [&done] { done = true; });
-  sim_.at(server_.config().batch_cost(2) / 2, [&] { server_.power_fail(); });
-  sim_.run();
-  EXPECT_EQ(applied, 0);
-  EXPECT_FALSE(done);
+  for (const std::size_t n : {2u, 1u}) {
+    std::vector<std::function<void()>> ops(n, [&applied] { ++applied; });
+    server_.metadata_batch(std::move(ops), [&done] { done = true; });
+    EXPECT_EQ(server_.txn_queue_depth(), 0u);  // in service, not queued
+    sim_.after(server_.config().batch_cost(n) / 2,
+               [&] { server_.power_fail(); });
+    sim_.run();
+    EXPECT_EQ(applied, 0) << n << "-op round-trip";
+    EXPECT_FALSE(done) << n << "-op round-trip";
+  }
+  EXPECT_EQ(server_.txns_completed(), 0u);
   // Queue still pumps: a post-recovery singleton completes normally.
   bool txn_done = false;
-  server_.metadata_txn([&txn_done] { txn_done = true; });
+  server_.metadata_batch({[&applied] { ++applied; }},
+                         [&txn_done] { txn_done = true; });
   sim_.run();
+  EXPECT_EQ(applied, 1);
   EXPECT_TRUE(txn_done);
+}
+
+// The session at B=1 is the singleton configuration of the same path:
+// one round-trip per op at exactly one metadata_txn_cost each, queued
+// FIFO on the server.
+TEST_F(MdBatchTest, SingletonSessionCostsOneTxnPerOp) {
+  auto s = session(/*batch_size=*/1, /*window=*/4);
+  std::vector<sim::Tick> applied_at;
+  for (int i = 0; i < 6; ++i) {
+    s.submit([] {}, {.applied = [&] { applied_at.push_back(sim_.now()); }});
+  }
+  EXPECT_EQ(s.batches_sent(), 4u);  // the window, nothing forming waits
+  sim_.run();
+  const sim::Tick cost = server_.config().metadata_txn_cost;
+  ASSERT_EQ(applied_at.size(), 6u);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(applied_at[i], (i + 1) * cost);
+  EXPECT_EQ(server_.txns_completed(), 6u);
+  EXPECT_EQ(server_.batch_ops_completed(), 6u);
 }
 
 TEST_F(MdBatchTest, EmptyServerBatchCompletesSynchronously) {
   bool done = false;
   server_.metadata_batch({}, [&done] { done = true; });
   EXPECT_TRUE(done);
-  EXPECT_EQ(server_.batches_completed(), 0u);
+  EXPECT_EQ(server_.txns_completed(), 0u);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ TEST(Profiler, JobWithNoChildrenIsAllSchedulerIdle) {
 //         ├─ drive_wait [15,30]   ├─ mount_wait [30,40]
 //         ├─ read [40,75]  (tape) │  ├─ position [40,45]
 //         │                      │  └─ flow "transfer" [45,75]
-//         └─ md_txn [75,80]
+//         └─ md_batch [75,80]
 TEST(Profiler, TapeBoundRecallDecomposesExactly) {
   TraceRecorder tr;
   tr.set_enabled(true);
@@ -75,7 +75,7 @@ TEST(Profiler, TapeBoundRecallDecomposesExactly) {
                             sim::secs(45)));
   tr.link(read, tr.complete(Component::Net, "flow#0", "transfer",
                             sim::secs(45), sim::secs(75)));
-  tr.link(recall, tr.complete(Component::Hsm, "md_txn", "md_txn",
+  tr.link(recall, tr.complete(Component::Hsm, "md_batch", "md_batch",
                               sim::secs(75), sim::secs(80)));
   tr.end(job, sim::secs(100));
 
@@ -89,7 +89,7 @@ TEST(Profiler, TapeBoundRecallDecomposesExactly) {
   // The flow under the tape read is drive streaming, not PFS transfer.
   EXPECT_EQ(bucket_of(jp, Bucket::TapeTransfer), sim::secs(30));
   EXPECT_EQ(bucket_of(jp, Bucket::PfsTransfer), sim::secs(0));
-  // chunk self [10,15]+[80,90] plus md_txn [75,80].
+  // chunk self [10,15]+[80,90] plus md_batch [75,80].
   EXPECT_EQ(bucket_of(jp, Bucket::Metadata), sim::secs(20));
   // job self [0,10]+[90,100].
   EXPECT_EQ(bucket_of(jp, Bucket::SchedulerIdle), sim::secs(20));
@@ -243,7 +243,7 @@ TEST(Profiler, DeepLinkChainsTerminate) {
   // 200 nested spans: deeper than kMaxDepth, must not blow the stack and
   // must still conserve (the clipped tail attributes to shallower spans).
   for (int i = 1; i <= 200; ++i) {
-    const SpanId s = tr.complete(Component::Hsm, "nest", "md_txn",
+    const SpanId s = tr.complete(Component::Hsm, "nest", "md_batch",
                                  sim::secs(i), sim::secs(400 - i));
     tr.link(prev, s);
     prev = s;

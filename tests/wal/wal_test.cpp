@@ -417,8 +417,7 @@ TEST(Durable, BatchBarrierAckImpliesWholeBatchDurable) {
     };
     hsm::TxnSession session(
         w.sim, w.server,
-        hsm::TxnSession::Config{scfg.md_batch_size, scfg.md_window,
-                                scfg.md_flush_timeout},
+        hsm::TxnSession::Config{scfg.md_batch_size, scfg.md_window},
         std::move(hooks));
 
     std::vector<std::uint64_t> acked;
