@@ -175,10 +175,13 @@ else
     --metric=segments --metric=tape_ordered_mounts --metric=naive_mounts
   # Recovery counts and virtual-time durations are deterministic; the
   # replay counts are exact, and recovery time may only collapse (a
-  # checkpoint silently not installing would triple it) within 50%.
+  # checkpoint silently not installing would triple it) within 50%.  Log
+  # and checkpoint sizes are exact too: they pin the record codec, so any
+  # byte drift in the on-disk format fails here.
   "$REGRESS" --baseline="$BASELINES/BENCH_recovery.json" \
     --fresh=build-asan/BENCH_recovery.json --key=scenario \
     --metric=mutations --metric=replayed \
+    --metric=log_bytes --metric=checkpoint_bytes \
     --metric=recovery_ms:50:lower
   # Batching results are virtual-time deterministic; the headline speedup
   # may only collapse (batching silently falling back to stop-and-wait

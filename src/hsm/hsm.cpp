@@ -289,12 +289,12 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
   // migration never became durable reverts to plain resident (the disk
   // copy is complete); a migrated stub without an object is data loss —
   // the pre-punch durability barrier exists to make that impossible.
-  std::set<std::string> cataloged;
-  for (auto& server : servers_) {
-    server->for_each_object([&](const ArchiveObject& o) {
-      if (!o.path.empty()) cataloged.insert(o.path);
+  // Each server's indexed export holds exactly its objects with a path.
+  const auto cataloged = [this](const std::string& path) {
+    return std::any_of(servers_.begin(), servers_.end(), [&](const auto& s) {
+      return s->export_db().by_path(path) != nullptr;
     });
-  }
+  };
   std::vector<std::string> remark;
   fs_.for_each_inode([&](const pfs::FileSystem::InodeView& v) {
     const pfs::InodeAttrs& a = v.attrs();
@@ -302,9 +302,10 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
     if (a.kind != pfs::FileKind::Regular || a.dmapi == pfs::DmapiState::Resident) {
       return;
     }
-    if (cataloged.count(v.path()) != 0) return;
+    const std::string& path = v.path();
+    if (cataloged(path)) return;
     if (a.dmapi == pfs::DmapiState::Premigrated) {
-      remark.push_back(v.path());
+      remark.push_back(path);
     } else {
       ++rep.stub_violations;
     }
@@ -359,11 +360,22 @@ TxnSession& HsmSystem::session_for(ArchiveServer& server) {
     barrier(std::move(done));
   };
   hooks.on_batch = [this](std::size_t n) {
+    // Resolved on first use, not up front: md_txn_saved must stay
+    // unregistered until a batch actually saves a round-trip.
+    MdInstruments& c = md_instruments_;
     obs::MetricsRegistry& m = obs_->metrics();
-    m.counter("hsm.md_batches").inc();
-    m.counter("hsm.md_batch_ops").add(n);
-    if (n > 1) m.counter("hsm.md_txn_saved").add(n - 1);
-    m.stats("hsm.md_batch_size").add(static_cast<double>(n));
+    if (c.batches == nullptr) {
+      c.batches = &m.counter("hsm.md_batches");
+      c.batch_ops = &m.counter("hsm.md_batch_ops");
+      c.batch_size = &m.stats("hsm.md_batch_size");
+    }
+    c.batches->inc();
+    c.batch_ops->add(n);
+    if (n > 1) {
+      if (c.txn_saved == nullptr) c.txn_saved = &m.counter("hsm.md_txn_saved");
+      c.txn_saved->add(n - 1);
+    }
+    c.batch_size->add(static_cast<double>(n));
   };
   auto session =
       std::make_unique<TxnSession>(sim_, server, scfg, std::move(hooks));

@@ -295,7 +295,10 @@ class HsmSystem : public pfs::DmapiListener {
   [[nodiscard]] std::uint64_t destroy_events() const { return destroys_; }
 
   /// Routes hsm.* metrics and migrate/recall/reclaim spans to `obs`.
-  void set_observer(obs::Observer& obs) { obs_ = &obs; }
+  void set_observer(obs::Observer& obs) {
+    obs_ = &obs;
+    md_instruments_ = {};
+  }
 
   /// Durability barrier invoked before any punch frees disk data: the
   /// continuation runs once every metadata record covering the punched
@@ -474,6 +477,14 @@ class HsmSystem : public pfs::DmapiListener {
   std::map<ArchiveServer*, std::unique_ptr<TxnSession>> sessions_;
   integrity::FixityDb fixity_;
   obs::Observer* obs_ = &obs::Observer::nil();
+  /// The sessions' on_batch instruments in obs_'s registry (lazily set).
+  struct MdInstruments {
+    obs::Counter* batches = nullptr;
+    obs::Counter* batch_ops = nullptr;
+    obs::Counter* txn_saved = nullptr;
+    sim::OnlineStats* batch_size = nullptr;
+  };
+  MdInstruments md_instruments_;
   sched::AdmissionScheduler* sched_ = nullptr;
   std::function<void(std::function<void()>)> barrier_;
   std::map<std::uint64_t, std::function<void()>> live_aborts_;

@@ -78,13 +78,24 @@ void ArchiveServer::power_fail() {
   next_object_id_ = cfg_.object_id_base;
 }
 
+namespace {
+
+metadb::TapeObjectRow export_row(const ArchiveObject& o) {
+  return metadb::TapeObjectRow{o.object_id,  o.gpfs_file_id, o.path,
+                               o.size_bytes, o.cartridge_id, o.tape_seq};
+}
+
+}  // namespace
+
 void ArchiveServer::record_object(ArchiveObject obj) {
-  // Mirror into the indexed export before storing (aggregates have no
-  // single path/fid; they are not separately recallable by path).
+  // Mirror into the indexed export before storing.  The export holds
+  // exactly the objects with a path (aggregates have no single path/fid;
+  // they are not separately recallable by path), so it is a function of
+  // the catalog alone and recovery can rebuild it from the final rows.
   if (!obj.path.empty()) {
-    export_.upsert(metadb::TapeObjectRow{obj.object_id, obj.gpfs_file_id,
-                                         obj.path, obj.size_bytes,
-                                         obj.cartridge_id, obj.tape_seq});
+    export_.upsert(export_row(obj));
+  } else {
+    export_.erase_object(obj.object_id);
   }
   // Mutate first, log after: the WAL hook can snapshot the whole catalog
   // synchronously (auto-checkpoint), and that snapshot must already
@@ -92,6 +103,22 @@ void ArchiveServer::record_object(ArchiveObject obj) {
   const std::uint64_t id = obj.object_id;
   objects_.upsert(std::move(obj));
   if (hooks_.on_record) hooks_.on_record(*objects_.find(id));
+}
+
+void ArchiveServer::install_objects(
+    const std::function<bool(ArchiveObject&)>& next) {
+  objects_.assign_sorted(next);
+  std::vector<const ArchiveObject*> exported;
+  exported.reserve(objects_.size());
+  objects_.for_each([&](const ArchiveObject& o) {
+    if (!o.path.empty()) exported.push_back(&o);
+  });
+  std::size_t i = 0;
+  export_.assign_sorted([&](metadb::TapeObjectRow& row) {
+    if (i == exported.size()) return false;
+    row = export_row(*exported[i++]);
+    return true;
+  });
 }
 
 const ArchiveObject* ArchiveServer::object(std::uint64_t id) const {

@@ -105,7 +105,7 @@ class ArchiveServer {
   /// indexed export vanish, queued round-trips are dropped on the floor
   /// (their callbacks never fire), a round-trip already in service tears
   /// away whole, and the epoch bumps so in-flight sessions notice.
-  /// Recovery replays the WAL back through `record_object`.
+  /// Recovery rebuilds the database from the WAL with `install_objects`.
   void power_fail();
 
   /// Durability listeners: fired after every object mutation with the
@@ -122,6 +122,11 @@ class ArchiveServer {
   void set_next_object_id(std::uint64_t next) { next_object_id_ = next; }
   [[nodiscard]] std::uint64_t next_object_id() const { return next_object_id_; }
   void record_object(ArchiveObject obj);
+  /// Recovery bulk load: replaces the object table with the rows `next`
+  /// fills in (ascending object id, until it returns false) and rebuilds
+  /// the indexed export from them.  Fires no mutation hooks and leaves
+  /// the id allocator alone.
+  void install_objects(const std::function<bool(ArchiveObject&)>& next);
   [[nodiscard]] const ArchiveObject* object(std::uint64_t id) const;
   bool delete_object(std::uint64_t id);
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }

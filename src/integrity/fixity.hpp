@@ -12,6 +12,7 @@
 // mode the paper's loud fault windows cannot model.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -100,12 +101,16 @@ class FixityDb {
     return row.row_id;
   }
 
-  /// Recovery-path insert preserving the logged row id (replaying the
-  /// same record twice converges on the same row).
-  void restore(const FixityRow& row) {
-    table_.upsert(row);
-    if (row.row_id >= next_row_id_) next_row_id_ = row.row_id + 1;
+  /// Recovery bulk load: replaces every row with the ones `next` fills
+  /// in (ascending row id, until it returns false) and moves the row-id
+  /// allocator up to at least `next_row_id`.  Fires no mutation hooks.
+  void install(const std::function<bool(FixityRow&)>& next,
+               std::uint64_t next_row_id) {
+    table_.assign_sorted(next);
+    next_row_id_ = std::max(next_row_id_, next_row_id);
   }
+
+  [[nodiscard]] std::uint64_t next_row_id() const { return next_row_id_; }
 
   /// Crash wipe: drops every row before checkpoint-load + log replay.
   void clear() {

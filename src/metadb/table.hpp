@@ -159,6 +159,28 @@ class Table {
     return n;
   }
 
+  /// Bulk build: replaces every row with the ones `next(row)` fills in
+  /// until it returns false, then rebuilds each index from one sorted
+  /// pass.  Rows should arrive in ascending primary-key order: each then
+  /// lands with an end-hinted, amortized O(1) insert instead of a tree
+  /// descent (out-of-order rows still land correctly, at descent cost).
+  /// A repeated primary key keeps its first row.  Counts as one bulk batch.
+  template <typename Next>
+  void assign_sorted(Next&& next) {
+    clear();
+    Row row{};
+    while (next(row)) {
+      const Key k = pk_(row);
+      rows_.emplace_hint(rows_.end(), k, std::move(row));
+      row = Row{};
+    }
+    for (auto& idx : u64_indexes_) build_index(idx);
+    for (auto& idx : str_indexes_) build_index(idx);
+    ++stats_.bulk_batches;
+    stats_.bulk_rows += rows_.size();
+    stats_.inserts += rows_.size();
+  }
+
   /// All rows whose indexed attribute equals `value`, in primary-key order.
   std::vector<const Row*> lookup_u64(IndexId idx, std::uint64_t value) const {
     ++stats_.index_lookups;
@@ -302,6 +324,17 @@ class Table {
     if (!rows_.empty()) {
       throw std::logic_error(std::string(op) + " after rows were inserted");
     }
+  }
+
+  // (attribute, key) pairs of every row, sorted, then end-hinted into the
+  // (empty) index set: one O(n log n) sort instead of n tree descents.
+  template <typename Index>
+  void build_index(Index& idx) {
+    std::vector<typename decltype(idx.set)::value_type> entries;
+    entries.reserve(rows_.size());
+    for (const auto& [k, row] : rows_) entries.emplace_back(idx.key_fn(row), k);
+    std::sort(entries.begin(), entries.end());
+    for (auto& e : entries) idx.set.emplace_hint(idx.set.end(), std::move(e));
   }
 
   void index_row(const Row& row, Key k) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metadb/table.hpp"
@@ -40,6 +41,12 @@ class TsmExportDb {
   }
 
   void upsert(TapeObjectRow row) { table_.upsert(std::move(row)); }
+  /// Bulk build from rows in ascending object-id order (see
+  /// Table::assign_sorted).
+  template <typename Next>
+  void assign_sorted(Next&& next) {
+    table_.assign_sorted(std::forward<Next>(next));
+  }
   bool erase_object(std::uint64_t object_id) { return table_.erase(object_id); }
 
   [[nodiscard]] const TapeObjectRow* by_object_id(std::uint64_t id) const {
@@ -77,8 +84,7 @@ class TsmExportDb {
     return rows.empty() ? nullptr : rows.front();
   }
 
-  /// Crash-recovery wipe; the export is rebuilt row-by-row from the
-  /// replayed object catalog.
+  /// Crash wipe; recovery rebuilds the export from the recovered catalog.
   void clear() { table_.clear(); }
 
   [[nodiscard]] std::size_t size() const { return table_.size(); }

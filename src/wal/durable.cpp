@@ -1,158 +1,66 @@
 #include "wal/durable.hpp"
 
-#include <cstdio>
-#include <sstream>
+#include <algorithm>
+#include <deque>
+#include <tuple>
+
+#include "wal/codec.hpp"
 
 namespace cpa::wal {
 namespace {
 
-// Percent-escaping keeps paths/group names single space-free tokens so
-// records parse with plain `>>` extraction.
-void esc(const std::string& s, std::string& out) {
-  if (s.empty()) {
-    out += "%-";  // empty-string sentinel (unescapes to "")
-    return;
-  }
-  for (const char c : s) {
-    if (c == '%' || c == ' ' || c == '\n' || c == '\r' || c == '\t') {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "%%%02X", static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
+// Calls fn(line) for every non-empty '\n'-terminated (or final) line.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+  while (!text.empty()) {
+    const std::size_t nl = text.find('\n');
+    const std::string_view line = text.substr(0, nl);
+    if (!line.empty()) fn(line);
+    if (nl == std::string_view::npos) break;
+    text.remove_prefix(nl + 1);
   }
 }
 
-std::string unesc(const std::string& s) {
-  if (s == "%-") return {};
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      const auto hex = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        return -1;
-      };
-      const int hi = hex(s[i + 1]);
-      const int lo = hex(s[i + 2]);
-      if (hi >= 0 && lo >= 0) {
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-        continue;
-      }
-    }
-    out += s[i];
-  }
-  return out;
-}
+// Pass-1 index entry: a key, the record's sequence number (checkpoint
+// lines first, then log frames) and where its fields sit — never a decoded
+// row.  24 bytes; a recovery image holds fewer than 2^32 records.
+struct Image {
+  std::uint64_t key = 0;     // object id (O/D) or fixity row id (F)
+  const char* data = nullptr;  // fields from the key on; nullptr for a D
+  std::uint32_t size = 0;
+  std::uint32_t seq = 0;
 
-std::string encode_object(const hsm::ArchiveObject& o) {
-  std::string out;
-  out += std::to_string(o.object_id);
-  out += ' ';
-  out += std::to_string(o.gpfs_file_id);
-  out += ' ';
-  out += std::to_string(o.size_bytes);
-  out += ' ';
-  out += std::to_string(o.content_tag);
-  out += ' ';
-  out += std::to_string(o.cartridge_id);
-  out += ' ';
-  out += std::to_string(o.tape_seq);
-  out += ' ';
-  out += std::to_string(o.aggregate_id);
-  out += ' ';
-  out += std::to_string(o.aggregate_offset);
-  out += ' ';
-  esc(o.path, out);
-  out += ' ';
-  esc(o.colocation_group, out);
-  out += ' ';
-  if (o.members.empty()) {
-    out += '-';
-  } else {
-    for (std::size_t i = 0; i < o.members.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(o.members[i]);
-    }
+  [[nodiscard]] std::string_view fields() const { return {data, size}; }
+  friend bool operator<(const Image& a, const Image& b) {
+    return std::tie(a.key, a.seq) < std::tie(b.key, b.seq);
   }
-  out += ' ';
-  if (o.copies.empty()) {
-    out += '-';
-  } else {
-    for (std::size_t i = 0; i < o.copies.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(o.copies[i].cartridge_id);
-      out += ':';
-      out += std::to_string(o.copies[i].tape_seq);
-    }
-  }
-  return out;
-}
+};
 
-bool decode_object(std::istringstream& in, hsm::ArchiveObject& o) {
-  std::string path, group, members, copies;
-  if (!(in >> o.object_id >> o.gpfs_file_id >> o.size_bytes >> o.content_tag >>
-        o.cartridge_id >> o.tape_seq >> o.aggregate_id >> o.aggregate_offset >>
-        path >> group >> members >> copies)) {
-    return false;
-  }
-  o.path = unesc(path);
-  o.colocation_group = unesc(group);
-  o.members.clear();
-  if (members != "-") {
-    std::istringstream ms(members);
-    std::string tok;
-    while (std::getline(ms, tok, ',')) o.members.push_back(std::stoull(tok));
-  }
-  o.copies.clear();
-  if (copies != "-") {
-    std::istringstream cs(copies);
-    std::string tok;
-    while (std::getline(cs, tok, ',')) {
-      const std::size_t colon = tok.find(':');
-      if (colon == std::string::npos) return false;
-      o.copies.push_back({std::stoull(tok.substr(0, colon)),
-                          std::stoull(tok.substr(colon + 1))});
-    }
-  }
-  return true;
-}
+struct Erase {  // an E record: every row of the object, as of `seq`
+  std::uint64_t object_id = 0;
+  std::uint32_t seq = 0;
 
-std::string encode_fixity(const integrity::FixityRow& r) {
-  std::string out;
-  out += std::to_string(r.row_id);
-  out += ' ';
-  out += std::to_string(r.object_id);
-  out += ' ';
-  out += std::to_string(r.cartridge_id);
-  out += ' ';
-  out += std::to_string(r.tape_seq);
-  out += ' ';
-  out += std::to_string(r.length);
-  out += ' ';
-  out += std::to_string(r.checksum);
-  out += ' ';
-  out += std::to_string(r.copy_index);
-  out += ' ';
-  out += std::to_string(static_cast<unsigned>(r.status));
-  return out;
-}
-
-bool decode_fixity(std::istringstream& in, integrity::FixityRow& r) {
-  unsigned status = 0;
-  if (!(in >> r.row_id >> r.object_id >> r.cartridge_id >> r.tape_seq >>
-        r.length >> r.checksum >> r.copy_index >> status)) {
-    return false;
+  friend bool operator<(const Erase& a, const Erase& b) {
+    return std::tie(a.object_id, a.seq) < std::tie(b.object_id, b.seq);
   }
-  r.status = static_cast<integrity::FixityStatus>(status);
-  return true;
-}
+};
 
 }  // namespace
+
+// Deques, not vectors: they grow without reallocating, so the index never
+// holds a doubled copy of itself, and pass 2 pops them as it installs, so
+// the tables reuse the memory the index frees.
+struct Durable::Fold {
+  std::uint32_t seq = 0;  // records scanned so far (checkpoint lines first)
+  std::vector<std::deque<Image>> objects;  // per server
+  std::deque<Image> fixity;
+  std::vector<Erase> erases;
+  /// Per server: the allocator floor, max(N value, O object id + 1) over
+  /// every O/N record, superseded or deleted ones included.
+  std::vector<std::uint64_t> next_object_id;
+  /// Max F row id + 1 over every F record, erased rows included.
+  std::uint64_t next_row_id = 0;
+};
 
 Durable::Durable(sim::Simulation& sim, WalConfig cfg, obs::Observer& obs)
     : sim_(sim), obs_(obs), writer_(sim, cfg, obs) {
@@ -165,12 +73,19 @@ void Durable::attach_server(unsigned idx, hsm::ArchiveServer& srv) {
   hsm::ArchiveServer::MutationHooks h;
   h.on_record = [this, idx](const hsm::ArchiveObject& o) {
     if (replaying_) return;
-    writer_.append_record("O " + std::to_string(idx) + " " + encode_object(o));
+    rec_.assign("O ");
+    codec::put_u64(rec_, idx);
+    rec_ += ' ';
+    codec::encode_object(o, rec_);
+    writer_.append_record(rec_);
   };
   h.on_delete = [this, idx](std::uint64_t id) {
     if (replaying_) return;
-    writer_.append_record("D " + std::to_string(idx) + " " +
-                          std::to_string(id));
+    rec_.assign("D ");
+    codec::put_u64(rec_, idx);
+    rec_ += ' ';
+    codec::put_u64(rec_, id);
+    writer_.append_record(rec_);
   };
   srv.set_mutation_hooks(std::move(h));
 }
@@ -180,11 +95,15 @@ void Durable::attach_fixity(integrity::FixityDb& db) {
   integrity::FixityDb::MutationHooks h;
   h.on_upsert = [this](const integrity::FixityRow& r) {
     if (replaying_) return;
-    writer_.append_record("F " + encode_fixity(r));
+    rec_.assign("F ");
+    codec::encode_fixity(r, rec_);
+    writer_.append_record(rec_);
   };
   h.on_erase_object = [this](std::uint64_t object_id) {
     if (replaying_) return;
-    writer_.append_record("E " + std::to_string(object_id));
+    rec_.assign("E ");
+    codec::put_u64(rec_, object_id);
+    writer_.append_record(rec_);
   };
   db.set_mutation_hooks(std::move(h));
 }
@@ -195,15 +114,15 @@ void Durable::attach_journal(pftool::RestartJournal& journal) {
                                    const std::string& dst, std::uint64_t a,
                                    std::uint64_t b) {
     if (replaying_) return;
-    std::string rec = "J ";
-    rec += static_cast<char>(op);
-    rec += ' ';
-    esc(dst, rec);
-    rec += ' ';
-    rec += std::to_string(a);
-    rec += ' ';
-    rec += std::to_string(b);
-    writer_.append_record(rec);
+    rec_.assign("J ");
+    rec_ += static_cast<char>(op);
+    rec_ += ' ';
+    codec::escape(dst, rec_);
+    rec_ += ' ';
+    codec::put_u64(rec_, a);
+    rec_ += ' ';
+    codec::put_u64(rec_, b);
+    writer_.append_record(rec_);
   });
 }
 
@@ -212,115 +131,188 @@ std::string Durable::serialize_state() const {
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     if (servers_[i] == nullptr) continue;
     servers_[i]->for_each_object([&](const hsm::ArchiveObject& o) {
-      out += "O " + std::to_string(i) + " " + encode_object(o) + "\n";
+      out += "O ";
+      codec::put_u64(out, i);
+      out += ' ';
+      codec::encode_object(o, out);
+      out += '\n';
     });
-    out += "N " + std::to_string(i) + " " +
-           std::to_string(servers_[i]->next_object_id()) + "\n";
+    out += "N ";
+    codec::put_u64(out, i);
+    out += ' ';
+    codec::put_u64(out, servers_[i]->next_object_id());
+    out += '\n';
   }
   if (fixity_ != nullptr) {
     fixity_->for_each([&](const integrity::FixityRow& r) {
-      out += "F " + encode_fixity(r) + "\n";
+      out += "F ";
+      codec::encode_fixity(r, out);
+      out += '\n';
     });
   }
   if (journal_ != nullptr) {
-    std::istringstream lines(journal_->serialize());
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (!line.empty()) out += "K " + line + "\n";
-    }
+    for_each_line(journal_->serialize(), [&](std::string_view line) {
+      out += "K ";
+      out += line;
+      out += '\n';
+    });
   }
   return out;
 }
 
-void Durable::apply(const std::string& record) {
-  std::istringstream in(record);
-  std::string tag;
-  if (!(in >> tag)) return;
-  if (tag == "O") {
-    std::size_t idx = 0;
-    hsm::ArchiveObject o;
-    if (!(in >> idx) || !decode_object(in, o)) return;
-    if (idx >= servers_.size() || servers_[idx] == nullptr) return;
-    hsm::ArchiveServer& srv = *servers_[idx];
-    if (o.object_id >= srv.next_object_id()) {
-      srv.set_next_object_id(o.object_id + 1);
-    }
-    srv.record_object(std::move(o));
-  } else if (tag == "D") {
-    std::size_t idx = 0;
+void Durable::scan(std::string_view record, Fold& fold) {
+  const std::uint32_t seq = fold.seq++;
+  codec::Tokens in(record);
+  std::string_view tag;
+  if (!in.next(tag)) return;
+  if (tag == "O" || tag == "D" || tag == "N") {
+    std::uint64_t idx = 0;
     std::uint64_t id = 0;
-    if (!(in >> idx >> id)) return;
+    if (!in.u64(idx)) return;
+    const std::string_view fields = in.rest();
+    if (!in.u64(id)) return;
     if (idx >= servers_.size() || servers_[idx] == nullptr) return;
-    servers_[idx]->delete_object(id);
-  } else if (tag == "N") {
-    std::size_t idx = 0;
-    std::uint64_t next = 0;
-    if (!(in >> idx >> next)) return;
-    if (idx >= servers_.size() || servers_[idx] == nullptr) return;
-    if (next > servers_[idx]->next_object_id()) {
-      servers_[idx]->set_next_object_id(next);
+    std::uint64_t& next = fold.next_object_id[idx];
+    if (tag == "N") {
+      next = std::max(next, id);
+      return;
     }
+    Image img{id, nullptr, 0, seq};
+    if (tag == "O") {
+      next = std::max(next, id + 1);
+      img.data = fields.data();
+      img.size = static_cast<std::uint32_t>(fields.size());
+    }
+    fold.objects[idx].push_back(img);
   } else if (tag == "F") {
-    integrity::FixityRow r;
-    if (fixity_ == nullptr || !decode_fixity(in, r)) return;
-    fixity_->restore(r);
+    const std::string_view fields = in.rest();
+    std::uint64_t row_id = 0;
+    if (fixity_ == nullptr || !in.u64(row_id)) return;
+    fold.next_row_id = std::max(fold.next_row_id, row_id + 1);
+    fold.fixity.push_back(
+        {row_id, fields.data(), static_cast<std::uint32_t>(fields.size()), seq});
   } else if (tag == "E") {
-    std::uint64_t id = 0;
-    if (fixity_ == nullptr || !(in >> id)) return;
-    fixity_->erase_object(id);
-  } else if (tag == "J") {
-    char op = 0;
-    std::string dst;
+    std::uint64_t object_id = 0;
+    if (fixity_ == nullptr || !in.u64(object_id)) return;
+    fold.erases.push_back({object_id, seq});
+  } else if (tag == "J" || tag == "K") {
+    if (journal_ != nullptr) apply_journal(tag, in.rest());
+  }
+}
+
+void Durable::apply_journal(std::string_view tag, std::string_view record) {
+  if (tag == "J") {
+    // "<op> <escaped dst> <a> <b>"
+    codec::Tokens in(record);
+    std::string_view op, dst;
     std::uint64_t a = 0, b = 0;
-    if (journal_ == nullptr || !(in >> op >> dst >> a >> b)) return;
-    const std::string d = unesc(dst);
-    switch (static_cast<pftool::RestartJournal::Op>(op)) {
+    if (!in.next(op) || op.size() != 1 || !in.next(dst) || !in.u64(a) ||
+        !in.u64(b)) {
+      return;
+    }
+    const std::string d = codec::unescape(dst);
+    switch (static_cast<pftool::RestartJournal::Op>(op.front())) {
       case pftool::RestartJournal::Op::Begin: journal_->begin(d, a, b); break;
       case pftool::RestartJournal::Op::Good: journal_->mark_good(d, a); break;
       case pftool::RestartJournal::Op::Bad: journal_->mark_bad(d, a); break;
       case pftool::RestartJournal::Op::Forget: journal_->forget(d); break;
     }
-  } else if (tag == "K") {
-    // Checkpointed journal entry: "dst|size|count|bitmap".
-    std::string line;
-    std::getline(in, line);
-    if (!line.empty() && line.front() == ' ') line.erase(0, 1);
-    if (journal_ == nullptr) return;
-    const std::size_t p1 = line.find('|');
-    if (p1 == std::string::npos) return;
-    const std::size_t p2 = line.find('|', p1 + 1);
-    if (p2 == std::string::npos) return;
-    const std::size_t p3 = line.find('|', p2 + 1);
-    if (p3 == std::string::npos) return;
-    const std::string dst = line.substr(0, p1);
-    const std::uint64_t size = std::stoull(line.substr(p1 + 1, p2 - p1 - 1));
-    const std::uint64_t count = std::stoull(line.substr(p2 + 1, p3 - p2 - 1));
-    journal_->begin(dst, size, count);
-    const std::string bitmap = line.substr(p3 + 1);
-    for (std::size_t i = 0; i < bitmap.size() && i < count; ++i) {
-      if (bitmap[i] == '1') journal_->mark_good(dst, i);
+    return;
+  }
+  // Checkpointed journal entry: "dst|size|count|bitmap" (dst unescaped).
+  const std::size_t p1 = record.find('|');
+  if (p1 == std::string_view::npos) return;
+  const std::size_t p2 = record.find('|', p1 + 1);
+  if (p2 == std::string_view::npos) return;
+  const std::size_t p3 = record.find('|', p2 + 1);
+  if (p3 == std::string_view::npos) return;
+  std::uint64_t size = 0, count = 0;
+  if (!codec::parse_u64(record.substr(p1 + 1, p2 - p1 - 1), size) ||
+      !codec::parse_u64(record.substr(p2 + 1, p3 - p2 - 1), count)) {
+    return;
+  }
+  const std::string dst(record.substr(0, p1));
+  journal_->begin(dst, size, count);
+  const std::string_view bitmap = record.substr(p3 + 1);
+  for (std::size_t i = 0; i < bitmap.size() && i < count; ++i) {
+    if (bitmap[i] == '1') journal_->mark_good(dst, i);
+  }
+}
+
+void Durable::build(Fold& fold) {
+  // Catalogs: the last record per object id wins; a D there means the
+  // object is gone.
+  for (std::size_t s = 0; s < servers_.size(); ++s) {
+    if (servers_[s] == nullptr) continue;
+    std::deque<Image>& images = fold.objects[s];
+    std::sort(images.begin(), images.end());
+    servers_[s]->install_objects([&](hsm::ArchiveObject& o) {
+      while (!images.empty()) {
+        const Image img = images.front();
+        images.pop_front();
+        const bool superseded = !images.empty() && images.front().key == img.key;
+        if (superseded || img.data == nullptr) continue;
+        if (codec::decode_object(img.fields(), o)) return true;
+      }
+      return false;
+    });
+    if (fold.next_object_id[s] > servers_[s]->next_object_id()) {
+      servers_[s]->set_next_object_id(fold.next_object_id[s]);
     }
   }
+
+  if (fixity_ == nullptr) return;
+  // Fixity: the last image per row id wins, unless an E for its object
+  // came later.  A row never changes object, so the image's object id is
+  // the one every E covering this row names.
+  std::vector<Erase>& erases = fold.erases;
+  std::sort(erases.begin(), erases.end());
+  const auto erased_after = [&erases](std::uint64_t object_id,
+                                      std::uint32_t seq) {
+    auto it = std::upper_bound(
+        erases.begin(), erases.end(), object_id,
+        [](std::uint64_t id, const Erase& e) { return id < e.object_id; });
+    return it != erases.begin() && (it - 1)->object_id == object_id &&
+           (it - 1)->seq > seq;
+  };
+  std::deque<Image>& rows = fold.fixity;
+  std::sort(rows.begin(), rows.end());
+  fixity_->install(
+      [&](integrity::FixityRow& r) {
+        while (!rows.empty()) {
+          const Image img = rows.front();
+          rows.pop_front();
+          const bool superseded = !rows.empty() && rows.front().key == img.key;
+          if (superseded || !codec::decode_fixity(img.fields(), r)) continue;
+          if (!erased_after(r.object_id, img.seq)) return true;
+        }
+        return false;
+      },
+      fold.next_row_id);
 }
 
 Durable::RecoveryStats Durable::recover() {
   RecoveryStats stats;
   replaying_ = true;
+  Fold fold;
+  fold.objects.resize(servers_.size());
+  fold.next_object_id.assign(servers_.size(), 0);
+  // Pass 1: checkpoint lines (after the "CPACKPT 1" header), then the
+  // intact log frames, in that order.
   const std::string& ckpt = writer_.installed_checkpoint();
   stats.checkpoint_bytes = ckpt.size();
-  if (!ckpt.empty()) {
-    std::istringstream lines(ckpt);
-    std::string line;
-    std::getline(lines, line);  // "CPACKPT 1" header
-    while (std::getline(lines, line)) {
-      if (!line.empty()) apply(line);
-    }
+  const std::size_t header_end = ckpt.find('\n');
+  if (header_end != std::string::npos) {
+    for_each_line(std::string_view(ckpt).substr(header_end + 1),
+                  [&](std::string_view line) { scan(line, fold); });
   }
   const std::string& log = writer_.log_bytes();
   stats.log_bytes = log.size();
   std::uint64_t valid = 0;
   stats.replayed_records = WalReader::replay(
-      log, [this](const std::string& r) { apply(r); }, &valid);
+      log, [&](std::string_view r) { scan(r, fold); }, &valid);
+  // Pass 2 reads the views pass 1 took, so it runs before the trim.
+  build(fold);
   // Cut the torn half-frame: appends from here on must land where replay
   // can reach them, not behind CRC garbage.
   writer_.trim_torn_tail(valid);

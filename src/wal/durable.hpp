@@ -12,16 +12,20 @@
 // job completion is reported) to guarantee the log covers what they are
 // about to promise.
 //
-// Recovery inverts the pipeline: the caller wipes the stores, then
-// `recover()` loads the last durably installed checkpoint and replays the
-// surviving log image (CRC framing stops the walk at the torn tail).
-// Replaying a prefix twice converges on the same state, so redo is safe
-// against replay duplication.
+// Recovery inverts the pipeline as a bulk load rather than a replay of
+// single upserts.  Pass 1 (scan) walks the last durably installed
+// checkpoint and then the surviving log image (CRC framing stops the walk
+// at the torn tail) as views, parses only each record's tag and keys, and
+// folds them into a last-writer-wins index of (key, sequence, where the
+// record sits).  Pass 2 (build) decodes only the surviving row images and
+// installs each catalog and the fixity table wholesale, in key order.
+// Installing wholesale makes recovering twice converge by construction.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hsm/server.hpp"
@@ -60,17 +64,25 @@ class Durable {
     sim::Tick duration = 0;
   };
 
-  /// Rebuilds the attached (pre-wiped) stores from checkpoint + log.
-  /// Synchronous state change; the returned duration is the virtual time
-  /// the caller should charge before resuming service.
+  /// Rebuilds the attached stores from checkpoint + log: every catalog
+  /// and the fixity table are replaced wholesale, journal records are
+  /// re-applied in order.  Synchronous state change; the returned
+  /// duration is the virtual time the caller should charge before
+  /// resuming service.
   RecoveryStats recover();
 
   [[nodiscard]] WalWriter& writer() { return writer_; }
   [[nodiscard]] const WalConfig& config() const { return writer_.config(); }
 
  private:
+  struct Fold;  // pass-1 index (durable.cpp)
+
   std::string serialize_state() const;  // checkpoint source
-  void apply(const std::string& record);
+  /// Pass 1 for one record: fold catalog/fixity keys, apply journal ops.
+  void scan(std::string_view record, Fold& fold);
+  /// Pass 2: decode the surviving images and install every table.
+  void build(Fold& fold);
+  void apply_journal(std::string_view tag, std::string_view record);
 
   sim::Simulation& sim_;
   obs::Observer& obs_;
@@ -78,9 +90,12 @@ class Durable {
   std::vector<hsm::ArchiveServer*> servers_;
   integrity::FixityDb* fixity_ = nullptr;
   pftool::RestartJournal* journal_ = nullptr;
-  /// Recovery applies records through the same store APIs that fire the
-  /// mutation hooks; this flag keeps replay from re-logging itself.
+  /// Recovery re-applies journal records through the same API that fires
+  /// the journal's mutation hook; this flag keeps replay from re-logging
+  /// itself.
   bool replaying_ = false;
+  /// Reused encode buffer for the append hooks.
+  std::string rec_;
 };
 
 }  // namespace cpa::wal

@@ -7,23 +7,32 @@
 namespace cpa::wal {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables: t[0] is the classic byte table; t[k][b] is the
+// CRC of byte b followed by k zero bytes, so one step folds 8 bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+void put_u32(char* out, std::uint32_t v) {
+  out[0] = static_cast<char>(v & 0xFF);
+  out[1] = static_cast<char>((v >> 8) & 0xFF);
+  out[2] = static_cast<char>((v >> 16) & 0xFF);
+  out[3] = static_cast<char>((v >> 24) & 0xFF);
 }
 
 std::uint32_t get_u32(const char* p) {
@@ -43,11 +52,18 @@ std::uint64_t splitmix64(std::uint64_t z) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  const auto* p = static_cast<const char*>(data);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = c ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -88,17 +104,21 @@ void SimBlockDevice::truncate_front(std::uint64_t bytes) {
 WalWriter::WalWriter(sim::Simulation& sim, WalConfig cfg, obs::Observer& obs)
     : sim_(sim), cfg_(cfg), obs_(obs), dev_(sim, cfg.flush_latency) {}
 
-void WalWriter::append_record(const std::string& payload) {
-  std::string frame;
-  frame.reserve(payload.size() + 8);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload.data(), payload.size()));
-  frame += payload;
-  dev_.append(frame);
-  bytes_since_checkpoint_ += frame.size();
+obs::Counter& WalWriter::counter(obs::Counter*& slot, const char* name) {
+  if (slot == nullptr) slot = &obs_.metrics().counter(name);
+  return *slot;
+}
+
+void WalWriter::append_record(std::string_view payload) {
+  char header[8];
+  put_u32(header, static_cast<std::uint32_t>(payload.size()));
+  put_u32(header + 4, crc32(payload.data(), payload.size()));
+  dev_.append(std::string_view(header, sizeof(header)), payload);
+  const std::uint64_t frame_bytes = sizeof(header) + payload.size();
+  bytes_since_checkpoint_ += frame_bytes;
   ++records_;
-  obs_.metrics().counter("wal.records").inc();
-  obs_.metrics().counter("wal.appended_bytes").add(frame.size());
+  counter(c_records_, "wal.records").inc();
+  counter(c_appended_bytes_, "wal.appended_bytes").add(frame_bytes);
   maybe_auto_checkpoint();
 }
 
@@ -118,7 +138,7 @@ void WalWriter::start_flush() {
     obs_.trace().end(sp, sim_.now());
     if (gen != gen_) return;
     flush_running_ = false;
-    obs_.metrics().counter("wal.flushes").inc();
+    counter(c_flushes_, "wal.flushes").inc();
     obs_.metrics()
         .stats("wal.flush_batch_size")
         .add(static_cast<double>(in_flight_.size()));
@@ -182,8 +202,7 @@ void WalWriter::trim_torn_tail(std::uint64_t valid_bytes) {
 }
 
 std::uint64_t WalReader::replay(
-    const std::string& log,
-    const std::function<void(const std::string&)>& fn,
+    std::string_view log, const std::function<void(std::string_view)>& fn,
     std::uint64_t* valid_bytes) {
   std::uint64_t applied = 0;
   std::size_t off = 0;
@@ -191,7 +210,7 @@ std::uint64_t WalReader::replay(
     const std::uint32_t len = get_u32(log.data() + off);
     const std::uint32_t want = get_u32(log.data() + off + 4);
     if (off + 8 + len > log.size()) break;  // torn mid-payload
-    const std::string payload = log.substr(off + 8, len);
+    const std::string_view payload = log.substr(off + 8, len);
     if (crc32(payload.data(), payload.size()) != want) break;
     fn(payload);
     ++applied;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -51,7 +52,14 @@ class SimBlockDevice {
   SimBlockDevice(sim::Simulation& sim, sim::Tick flush_latency)
       : sim_(sim), flush_latency_(flush_latency) {}
 
-  void append(const std::string& bytes) { data_ += bytes; }
+  /// Appends one frame.  The image grows at most once per frame, by the
+  /// whole frame, so its capacity doubling (a copy of the whole log, the
+  /// device's peak memory) runs on frame boundaries.
+  void append(std::string_view header, std::string_view payload) {
+    data_.reserve(data_.size() + header.size() + payload.size());
+    data_.append(header);
+    data_.append(payload);
+  }
 
   /// Makes everything appended so far durable after `flush_latency`; the
   /// callback fires at completion.  A tear() in flight swallows it (the
@@ -90,7 +98,7 @@ class WalWriter {
   WalWriter(sim::Simulation& sim, WalConfig cfg, obs::Observer& obs);
 
   /// Frames and appends one redo record (volatile until sync()).
-  void append_record(const std::string& payload);
+  void append_record(std::string_view payload);
 
   /// Durability barrier: fires `done` once every record appended before
   /// this call is on stable storage.  Concurrent callers share one flush
@@ -127,6 +135,10 @@ class WalWriter {
  private:
   void start_flush();
   void maybe_auto_checkpoint();
+  /// `slot`'s counter, resolved by name on first use only: the append
+  /// path runs once per record, and an instrument registered before it is
+  /// touched would show up in metric dumps.
+  obs::Counter& counter(obs::Counter*& slot, const char* name);
 
   sim::Simulation& sim_;
   WalConfig cfg_;
@@ -140,6 +152,9 @@ class WalWriter {
   std::string checkpoint_;  // last durably installed snapshot
   std::uint64_t bytes_since_checkpoint_ = 0;
   std::uint64_t records_ = 0;
+  obs::Counter* c_records_ = nullptr;
+  obs::Counter* c_appended_bytes_ = nullptr;
+  obs::Counter* c_flushes_ = nullptr;
   /// Bumped by crash(); stale flush/checkpoint completions no-op.
   std::uint64_t gen_ = 0;
 };
@@ -148,11 +163,12 @@ class WalWriter {
 class WalReader {
  public:
   /// Applies `fn` to each intact record payload in order; stops at the
-  /// first short or corrupt frame.  Returns the records applied; if
-  /// `valid_bytes` is non-null it receives the byte offset where the walk
-  /// stopped (== log.size() iff the log ends on a frame boundary).
-  static std::uint64_t replay(const std::string& log,
-                              const std::function<void(const std::string&)>& fn,
+  /// first short or corrupt frame.  Payloads are views into `log`, valid
+  /// as long as it is.  Returns the records applied; if `valid_bytes` is
+  /// non-null it receives the byte offset where the walk stopped
+  /// (== log.size() iff the log ends on a frame boundary).
+  static std::uint64_t replay(std::string_view log,
+                              const std::function<void(std::string_view)>& fn,
                               std::uint64_t* valid_bytes = nullptr);
 };
 
