@@ -201,35 +201,6 @@ void BM_TsmExportVisitOnTape(benchmark::State& state) {
 }
 BENCHMARK(BM_TsmExportVisitOnTape)->Arg(0)->Arg(1);
 
-// Bulk-batch mutation path: one insert_bulk of N rows vs N singleton
-// inserts — the metadb half of the group-commit amortization story.
-void BM_TsmTableBulkInsert(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  const bool bulk = state.range(1) != 0;
-  for (auto _ : state) {
-    metadb::Table<metadb::TapeObjectRow> t(
-        [](const metadb::TapeObjectRow& r) { return r.object_id; });
-    if (bulk) {
-      std::vector<metadb::TapeObjectRow> rows;
-      rows.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        rows.push_back({i + 1, i + 1, {}, 1024, i % 24, i / 24});
-      }
-      benchmark::DoNotOptimize(t.insert_bulk(std::move(rows)));
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        t.insert({i + 1, i + 1, {}, 1024, i % 24, i / 24});
-      }
-    }
-    benchmark::DoNotOptimize(t.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(bulk ? "bulk" : "singleton");
-}
-BENCHMARK(BM_TsmTableBulkInsert)
-    ->Args({1024, 0})
-    ->Args({1024, 1});
-
 void BM_TapeQueueOrdering(benchmark::State& state) {
   sim::Rng rng(5);
   for (auto _ : state) {

@@ -140,6 +140,15 @@ echo "== Crash matrix, batched metadata (ASan) =="
 echo "== pfprof conservation gate (ASan) =="
 ./build-asan/bench/pfprof --campaign --scale=0.01 --seed=2009 --out=/dev/null
 
+# Thread-sanitizer gate for the real-I/O engine: pftool::rt is the one
+# layer that runs OS threads (worker pool, work queue, restart journal).
+# Only its test binary is built under TSan; any data race report fails CI.
+echo "== pftool rt (TSan) =="
+cmake -B build-tsan -S . -DCPA_SANITIZE=thread >/dev/null
+cmake --build build-tsan -j "$JOBS" --target pftool_test
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/pftool_test \
+  --gtest_filter='RtEngine*:RestartJournal*:JournalProperty*:WorkQueue*'
+
 # Perf-regression gate: diff the freshly produced BENCH_*.json against the
 # checked-in baselines.  CPA_UPDATE_BASELINE=1 regenerates the baselines
 # instead of gating (mirroring CPA_UPDATE_GOLDEN for the campaign digest).

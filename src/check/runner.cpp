@@ -9,6 +9,7 @@
 
 #include "integrity/scrubber.hpp"
 #include "simcore/fnv1a.hpp"
+#include "simcore/splitmix64.hpp"
 #include "simcore/units.hpp"
 
 namespace cpa::check {
@@ -41,16 +42,9 @@ std::string repro_line(const ChaosConfig& cfg) {
 
 namespace {
 
-/// SplitMix64-style mixer: deterministic per-file content tags.
+/// Deterministic per-file content tags from (seed, lane, index).
 std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  std::uint64_t x =
-      a * 0x9E3779B97F4A7C15ULL + b * 0xBF58476D1CE4E5B9ULL + c + 1;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
+  return mix64(a * kSplitMix64Gamma + b * 0xBF58476D1CE4E5B9ULL + c + 1);
 }
 
 enum class Restored : std::uint8_t { None, Ok, Lost };

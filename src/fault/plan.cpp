@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "simcore/rng.hpp"
+#include "simcore/splitmix64.hpp"
 
 namespace cpa::fault {
 namespace {
@@ -205,19 +206,6 @@ bool parse_event(const std::string& clause, FaultEvent* ev, std::string* error) 
 
 }  // namespace
 
-namespace {
-
-// splitmix64 finalizer: a one-shot mix good enough to decorrelate the
-// jitter draw across (seed, salt, retry_index) triples.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 sim::Tick RetryPolicy::delay(unsigned retry_index, std::uint64_t salt) const {
   sim::Tick base = 0;
   if (retry_index <= 1) {
@@ -236,9 +224,10 @@ sim::Tick RetryPolicy::delay(unsigned retry_index, std::uint64_t salt) const {
                   : std::min(static_cast<sim::Tick>(d + 0.5), max_backoff);
   }
   if (jitter <= 0.0) return base;
-  // Seeded full jitter: scale by a deterministic draw from [1-jitter, 1].
-  const std::uint64_t h =
-      mix64(jitter_seed ^ mix64(salt) ^ (0x5B17ULL * retry_index));
+  // Seeded full jitter: scale by a deterministic draw from [1-jitter, 1];
+  // splitmix64 decorrelates it across (seed, salt, retry_index) triples.
+  const std::uint64_t h = splitmix64(jitter_seed ^ splitmix64(salt) ^
+                                     (0x5B17ULL * retry_index));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   const double scale = 1.0 - std::min(jitter, 1.0) * u;
   return static_cast<sim::Tick>(static_cast<double>(base) * scale + 0.5);

@@ -188,7 +188,6 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
                               : nullptr;
       if (rec_seg == nullptr || rec_seg->object_id != obj->object_id) {
         relocate_object(obj->object_id, obj->cartridge_id, cart.id(), s.seq);
-        fixity_.relocate(obj->object_id, obj->cartridge_id, cart.id(), s.seq);
         ++rep.adopted_segments;
       } else {
         cart.mark_deleted(s.object_id);
@@ -433,6 +432,15 @@ void HsmSystem::trace_backoff(obs::SpanId parent, sim::Tick delay) {
                               sim_.now(), sim_.now() + delay));
 }
 
+void HsmSystem::mount_traced(tape::TapeDrive& drive, tape::Cartridge& cart,
+                             obs::SpanId span, std::function<void()> k) {
+  const sim::Tick t_m = sim_.now();
+  lib_.ensure_mounted(drive, cart, [this, span, t_m, k = std::move(k)] {
+    trace_wait(obs::Component::Tape, "mount_wait", span, t_m);
+    k();
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Migration
 // ---------------------------------------------------------------------------
@@ -581,11 +589,8 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
   if (job->cart == nullptr || !job->cart->fits(unit.bytes)) {
     if (job->cart != nullptr) lib_.checkin_cartridge(*job->cart);
     job->cart = &lib_.checkout_cartridge(job->phase_group(), unit.bytes);
-    const sim::Tick t_m = sim_.now();
-    lib_.ensure_mounted(*job->drive, *job->cart, [this, job, t_m] {
-      trace_wait(obs::Component::Tape, "mount_wait", job->span, t_m);
-      run_migrate_unit(job);
-    });
+    mount_traced(*job->drive, *job->cart, job->span,
+                 [this, job] { run_migrate_unit(job); });
     return;
   }
 
@@ -662,12 +667,8 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
                     trace_wait(obs::Component::Tape, "drive_wait", job->span,
                                t_req);
                     job->drive = &drive;
-                    const sim::Tick t_m = sim_.now();
-                    lib_.ensure_mounted(drive, *job->cart, [this, job, t_m] {
-                      trace_wait(obs::Component::Tape, "mount_wait", job->span,
-                                 t_m);
-                      run_migrate_unit(job);
-                    });
+                    mount_traced(drive, *job->cart, job->span,
+                                 [this, job] { run_migrate_unit(job); });
                   });
             });
             return;
@@ -1007,15 +1008,14 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
     if (primary != nullptr && primary->damaged()) {
       bool recovered = false;
       if (const std::uint64_t owner = owner_object_id(path)) {
-        if (const ArchiveObject* obj = server.object(owner)) {
-          for (const auto& replica : obj->copies) {
-            tape::Cartridge* copy = lib_.cartridge(replica.cartridge_id);
-            if (copy != nullptr && !copy->damaged()) {
-              cart = replica.cartridge_id;
-              seq = replica.tape_seq;
-              recovered = true;
-              break;
-            }
+        const Locations alts = other_locations(owner, cart);
+        for (const auto& [alt_cart, alt_seq] : *alts) {
+          tape::Cartridge* copy = lib_.cartridge(alt_cart);
+          if (copy != nullptr && !copy->damaged()) {
+            cart = alt_cart;
+            seq = alt_seq;
+            recovered = true;
+            break;
           }
         }
       }
@@ -1085,27 +1085,23 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
   for (unsigned i = 0; i < launch; ++i) {
     ++job->active;
     ++job->next_work;
-    run_recall_cart(job, i);
+    run_recall_cart(job, i, 0);
   }
 }
 
 void HsmSystem::run_recall_cart(std::shared_ptr<RecallJob> job,
-                                std::size_t work_idx) {
+                                std::size_t work_idx, std::size_t entry_idx) {
   if (job->dead) return;
   const sim::Tick t_req = sim_.now();
   lib_.acquire_drive(
       tape::DriveRequest{job->options.tenant, job->options.qos},
-      [this, job, work_idx, t_req](tape::TapeDrive& drive) {
+      [this, job, work_idx, entry_idx, t_req](tape::TapeDrive& drive) {
         if (job->dead) return;
         trace_wait(obs::Component::Tape, "drive_wait", job->span, t_req);
-        auto& work = job->work[work_idx];
-        const sim::Tick t_m = sim_.now();
-        lib_.ensure_mounted(drive, *work.cart,
-                            [this, job, work_idx, &drive, t_m] {
-                              trace_wait(obs::Component::Tape, "mount_wait",
-                                         job->span, t_m);
-                              run_recall_entry(job, work_idx, 0, drive);
-                            });
+        mount_traced(drive, *job->work[work_idx].cart, job->span,
+                     [this, job, work_idx, entry_idx, &drive] {
+                       run_recall_entry(job, work_idx, entry_idx, drive);
+                     });
       });
 }
 
@@ -1118,7 +1114,7 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
     lib_.release_drive(drive);
     if (job->next_work < job->work.size()) {
       const std::size_t next = job->next_work++;
-      run_recall_cart(job, next);
+      run_recall_cart(job, next, 0);
       return;
     }
     if (--job->active == 0) {
@@ -1150,27 +1146,11 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
             const sim::Tick delay = cfg_.retry.delay(entry.attempts);
             trace_backoff(job->span, delay);
             if (drive_dead) {
+              // Fail over: the cartridge's batch resumes at this entry on
+              // whichever healthy drive the library grants next.
               lib_.release_drive(drive);
               sim_.after(delay, [this, job, work_idx, entry_idx] {
-                if (job->dead) return;
-                const sim::Tick t_req = sim_.now();
-                lib_.acquire_drive(
-                    tape::DriveRequest{job->options.tenant, job->options.qos},
-                    [this, job, work_idx, entry_idx,
-                     t_req](tape::TapeDrive& nd) {
-                      if (job->dead) return;
-                      trace_wait(obs::Component::Tape, "drive_wait", job->span,
-                                 t_req);
-                      tape::TapeDrive* ndp = &nd;
-                      const sim::Tick t_m = sim_.now();
-                      lib_.ensure_mounted(
-                          nd, *job->work[work_idx].cart,
-                          [this, job, work_idx, entry_idx, ndp, t_m] {
-                            trace_wait(obs::Component::Tape, "mount_wait",
-                                       job->span, t_m);
-                            run_recall_entry(job, work_idx, entry_idx, *ndp);
-                          });
-                    });
+                run_recall_cart(job, work_idx, entry_idx);
               });
             } else {
               tape::TapeDrive* dp = &drive;
@@ -1197,66 +1177,62 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
           if (frow != nullptr &&
               seg->observed_fingerprint() != frow->checksum) {
             ++job->report.fixity_mismatches;
-            auto alts = std::make_shared<
-                std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-            if (ArchiveServer* os = find_object_server(entry.oid)) {
-              if (const ArchiveObject* obj = os->object(entry.oid)) {
-                if (obj->cartridge_id != work.cart->id()) {
-                  alts->emplace_back(obj->cartridge_id, obj->tape_seq);
-                }
-                for (const auto& replica : obj->copies) {
-                  if (replica.cartridge_id != work.cart->id()) {
-                    alts->emplace_back(replica.cartridge_id, replica.tape_seq);
-                  }
-                }
-              }
-            }
-            recall_fallback(job, work_idx, entry_idx, drive, alts, 0);
+            recall_fallback(job, work_idx, entry_idx, drive,
+                            other_locations(entry.oid, work.cart->id()), 0);
             return;
           }
           if (frow != nullptr) ++job->report.fixity_verified;
         }
-        job->report.bytes += entry.size;
-        ++job->report.files_recalled;
-        fs_.mark_recalled(entry.path);  // no-op if not punched
-        const sim::Tick t_md = sim_.now();
-        // Pipelined: the entry's recall-bookkeeping update rides a
-        // round-trip while the drive streams the next entry; the window
-        // backpressures the chain when the server falls behind.
-        TxnSession::SubmitOpts opts;
-        opts.accepted = [this, job, work_idx, entry_idx, &drive, t_md] {
-          if (job->dead) return;
-          trace_wait(obs::Component::Hsm, "md_batch", job->span, t_md);
-          run_recall_entry(job, work_idx, entry_idx + 1, drive);
-        };
-        session_for(server_for(entry.path)).submit([] {}, std::move(opts));
+        recall_verified(job, work_idx, entry_idx,
+                        [this, job, work_idx, entry_idx, &drive] {
+                          run_recall_entry(job, work_idx, entry_idx + 1, drive);
+                        });
       },
       job->span);
 }
 
-void HsmSystem::recall_fallback(
-    std::shared_ptr<RecallJob> job, std::size_t work_idx, std::size_t entry_idx,
-    tape::TapeDrive& drive,
-    std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-    std::size_t alt_idx) {
-  if (job->dead) return;
-  auto resume_batch = [this, job, work_idx, entry_idx, &drive] {
-    // Put the batch's cartridge back under the heads (extra mounts are
-    // the honest price of chasing replicas mid-batch) and move on.
-    const sim::Tick t_m = sim_.now();
-    lib_.ensure_mounted(drive, *job->work[work_idx].cart,
-                        [this, job, work_idx, entry_idx, &drive, t_m] {
-                          trace_wait(obs::Component::Tape, "mount_wait",
-                                     job->span, t_m);
-                          run_recall_entry(job, work_idx, entry_idx + 1, drive);
-                        });
+void HsmSystem::recall_verified(std::shared_ptr<RecallJob> job,
+                                std::size_t work_idx, std::size_t entry_idx,
+                                std::function<void()> next) {
+  const auto& entry = job->work[work_idx].entries[entry_idx];
+  job->report.bytes += entry.size;
+  ++job->report.files_recalled;
+  fs_.mark_recalled(entry.path);  // no-op if not punched
+  const sim::Tick t_md = sim_.now();
+  // Pipelined: the entry's recall-bookkeeping update rides a round-trip
+  // while the drive streams the next entry; the window backpressures the
+  // chain when the server falls behind.
+  TxnSession::SubmitOpts opts;
+  opts.accepted = [this, job, t_md, next = std::move(next)] {
+    if (job->dead) return;
+    trace_wait(obs::Component::Hsm, "md_batch", job->span, t_md);
+    next();
   };
+  session_for(server_for(entry.path)).submit([] {}, std::move(opts));
+}
+
+void HsmSystem::resume_recall_batch(std::shared_ptr<RecallJob> job,
+                                    std::size_t work_idx, std::size_t entry_idx,
+                                    tape::TapeDrive& drive) {
+  // Put the batch's cartridge back under the heads (extra mounts are the
+  // honest price of chasing replicas mid-batch) and move on.
+  mount_traced(drive, *job->work[work_idx].cart, job->span,
+               [this, job, work_idx, entry_idx, &drive] {
+                 run_recall_entry(job, work_idx, entry_idx + 1, drive);
+               });
+}
+
+void HsmSystem::recall_fallback(std::shared_ptr<RecallJob> job,
+                                std::size_t work_idx, std::size_t entry_idx,
+                                tape::TapeDrive& drive, Locations alts,
+                                std::size_t alt_idx) {
+  if (job->dead) return;
   if (alt_idx >= alts->size()) {
     // Primary and every duplicate failed fixity: permanently bad, and
     // deliberately not retried — re-reading rotten bits cannot help.
     ++job->report.files_unrepairable;
     ++job->report.files_failed;
-    resume_batch();
+    resume_recall_batch(job, work_idx, entry_idx, drive);
     return;
   }
   const auto [alt_cart_id, alt_seq] = (*alts)[alt_idx];
@@ -1265,11 +1241,9 @@ void HsmSystem::recall_fallback(
     recall_fallback(job, work_idx, entry_idx, drive, alts, alt_idx + 1);
     return;
   }
-  const sim::Tick t_alt = sim_.now();
-  lib_.ensure_mounted(drive, *alt_cart, [this, job, work_idx, entry_idx,
-                                         &drive, alts, alt_idx, alt_cart,
-                                         alt_seq = alt_seq, t_alt] {
-    trace_wait(obs::Component::Tape, "mount_wait", job->span, t_alt);
+  mount_traced(drive, *alt_cart, job->span, [this, job, work_idx, entry_idx,
+                                             &drive, alts, alt_idx, alt_cart,
+                                             alt_seq = alt_seq] {
     auto& entry = job->work[work_idx].entries[entry_idx];
     std::vector<sim::PathLeg> pools =
         data_path(entry.node, entry.path, entry.size);
@@ -1293,24 +1267,11 @@ void HsmSystem::recall_fallback(
             return;
           }
           ++job->report.fixity_verified;
-          job->report.bytes += entry.size;
-          ++job->report.files_recalled;
-          fs_.mark_recalled(entry.path);
-          const sim::Tick t_md = sim_.now();
-          TxnSession::SubmitOpts opts;
-          opts.accepted = [this, job, work_idx, entry_idx, &drive, t_md] {
-            if (job->dead) return;
-            trace_wait(obs::Component::Hsm, "md_batch", job->span, t_md);
-            const sim::Tick t_m = sim_.now();
-            lib_.ensure_mounted(
-                drive, *job->work[work_idx].cart,
-                [this, job, work_idx, entry_idx, &drive, t_m] {
-                  trace_wait(obs::Component::Tape, "mount_wait", job->span,
-                             t_m);
-                  run_recall_entry(job, work_idx, entry_idx + 1, drive);
-                });
-          };
-          session_for(server_for(entry.path)).submit([] {}, std::move(opts));
+          recall_verified(job, work_idx, entry_idx,
+                          [this, job, work_idx, entry_idx, &drive] {
+                            resume_recall_batch(job, work_idx, entry_idx,
+                                                drive);
+                          });
         },
         job->span);
   });
@@ -1368,19 +1329,21 @@ void HsmSystem::delete_object_cascade(ArchiveServer& server,
   if (obj->is_member()) {
     const std::uint64_t agg_id = obj->aggregate_id;
     server.delete_object(object_id);
-    // Reclaim the aggregate's tape segment once every member died.
-    const ArchiveObject* agg = server.object(agg_id);
-    if (agg != nullptr) {
-      ArchiveObject updated = *agg;
+    // Reclaim the aggregate's tape segment once every member died.  The
+    // aggregate lives on the server of its unit's first member, which
+    // need not be this member's.
+    ArchiveServer* agg_server = find_object_server(agg_id);
+    if (agg_server != nullptr) {
+      ArchiveObject updated = *agg_server->object(agg_id);
       updated.members.erase(
           std::remove(updated.members.begin(), updated.members.end(),
                       object_id),
           updated.members.end());
       if (updated.members.empty()) {
         reclaim_media(updated);
-        server.delete_object(agg_id);
+        agg_server->delete_object(agg_id);
       } else {
-        server.record_object(std::move(updated));
+        agg_server->record_object(std::move(updated));
       }
     }
   } else {
@@ -1474,33 +1437,22 @@ void HsmSystem::reconcile(bool delete_orphans,
     }
   });
   // Phase 2: compare every object one by one.
-  struct Orphan {
-    ArchiveServer* server;
-    std::uint64_t object_id;
-    std::uint64_t cartridge_id;
-    std::uint64_t aggregate_id;
-  };
-  std::vector<Orphan> orphans;
+  std::vector<std::pair<ArchiveServer*, std::uint64_t>> orphans;
   for (auto& server : servers_) {
     server->for_each_object([&](const ArchiveObject& obj) {
       if (obj.is_aggregate()) return;  // containers checked via members
       ++report.objects_checked;
       if (live_fids.count(obj.gpfs_file_id) == 0) {
         ++report.orphans_found;
-        orphans.push_back(Orphan{server.get(), obj.object_id, obj.cartridge_id,
-                                 obj.aggregate_id});
+        orphans.emplace_back(server.get(), obj.object_id);
       }
     });
   }
   if (delete_orphans) {
-    for (const Orphan& o : orphans) {
-      if (o.aggregate_id == 0) {
-        if (tape::Cartridge* cart = lib_.cartridge(o.cartridge_id)) {
-          cart->mark_deleted(o.object_id);
-        }
-        fixity_.erase_object(o.object_id);
-      }
-      o.server->delete_object(o.object_id);
+    // The same cascade as synchronous_delete: every replica's segment,
+    // the fixity rows, and the aggregate once its last member goes.
+    for (const auto& [server, object_id] : orphans) {
+      delete_object_cascade(*server, object_id);
       ++report.orphans_deleted;
     }
   }
@@ -1788,7 +1740,6 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
               session_for(*server).submit(
                   [this, job, seg, src_id, dst_id, new_seq] {
                     relocate_object(seg.object_id, src_id, dst_id, new_seq);
-                    fixity_.relocate(seg.object_id, src_id, dst_id, new_seq);
                     if (tape::Cartridge* src = lib_.cartridge(src_id)) {
                       src->mark_deleted(seg.object_id);
                     }
@@ -1850,6 +1801,10 @@ void HsmSystem::scrub(integrity::ScrubConfig scfg,
     return;
   }
   // One drive for the whole pass: foreground recalls keep the others.
+  acquire_scrub_drive(job);
+}
+
+void HsmSystem::acquire_scrub_drive(std::shared_ptr<ScrubJob> job) {
   lib_.acquire_drive(
       tape::DriveRequest{job->cfg.tenant, sched::QosClass::Maintenance},
       [this, job](tape::TapeDrive& drive) {
@@ -1869,13 +1824,7 @@ void HsmSystem::run_scrub_row(std::shared_ptr<ScrubJob> job) {
     // Loud drive failure mid-scrub: fail over and carry on.
     lib_.release_drive(*job->drive);
     job->drive = nullptr;
-    lib_.acquire_drive(
-        tape::DriveRequest{job->cfg.tenant, sched::QosClass::Maintenance},
-        [this, job](tape::TapeDrive& drive) {
-          if (job->dead) return;
-          job->drive = &drive;
-          run_scrub_row(job);
-        });
+    acquire_scrub_drive(job);
     return;
   }
   const integrity::FixityRow row = job->rows[job->next];
@@ -1922,30 +1871,16 @@ void HsmSystem::run_scrub_row(std::shared_ptr<ScrubJob> job) {
           // Repair lattice: clean tape duplicate -> disk re-migration ->
           // unrepairable.  Candidates are the object's other recorded
           // locations, each read back and verified before it is trusted.
-          auto alts = std::make_shared<
-              std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-          if (ArchiveServer* os = find_object_server(row.object_id)) {
-            if (const ArchiveObject* obj = os->object(row.object_id)) {
-              if (obj->cartridge_id != row.cartridge_id) {
-                alts->emplace_back(obj->cartridge_id, obj->tape_seq);
-              }
-              for (const auto& replica : obj->copies) {
-                if (replica.cartridge_id != row.cartridge_id) {
-                  alts->emplace_back(replica.cartridge_id, replica.tape_seq);
-                }
-              }
-            }
-          }
-          run_scrub_repair(job, row, alts, 0);
+          run_scrub_repair(job, row,
+                           other_locations(row.object_id, row.cartridge_id), 0);
         },
         job->span);
   });
 }
 
-void HsmSystem::run_scrub_repair(
-    std::shared_ptr<ScrubJob> job, const integrity::FixityRow& row,
-    std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-    std::size_t alt_idx) {
+void HsmSystem::run_scrub_repair(std::shared_ptr<ScrubJob> job,
+                                 const integrity::FixityRow& row,
+                                 Locations alts, std::size_t alt_idx) {
   if (job->dead) return;
   if (alt_idx < alts->size()) {
     const auto [cand_cart_id, cand_seq] = (*alts)[alt_idx];
@@ -2051,8 +1986,6 @@ void HsmSystem::write_scrub_repair(std::shared_ptr<ScrubJob> job,
               [this, job, row, source_cartridge, action, dst, new_seq] {
                 relocate_object(row.object_id, row.cartridge_id, dst->id(),
                                 new_seq);
-                fixity_.relocate(row.object_id, row.cartridge_id, dst->id(),
-                                 new_seq);
                 if (tape::Cartridge* bad = lib_.cartridge(row.cartridge_id)) {
                   bad->mark_deleted(row.object_id);
                 }
@@ -2162,41 +2095,57 @@ ArchiveServer* HsmSystem::find_object_server(std::uint64_t object_id) {
   return nullptr;
 }
 
+HsmSystem::Locations HsmSystem::other_locations(std::uint64_t object_id,
+                                                std::uint64_t except_cart) {
+  auto locs = std::make_shared<Locations::element_type>();
+  ArchiveServer* server = find_object_server(object_id);
+  if (server == nullptr) return locs;
+  const ArchiveObject& obj = *server->object(object_id);
+  if (obj.cartridge_id != except_cart) {
+    locs->emplace_back(obj.cartridge_id, obj.tape_seq);
+  }
+  for (const auto& replica : obj.copies) {
+    if (replica.cartridge_id != except_cart) {
+      locs->emplace_back(replica.cartridge_id, replica.tape_seq);
+    }
+  }
+  return locs;
+}
+
 void HsmSystem::relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
                                 std::uint64_t new_cart, std::uint64_t new_seq) {
-  ArchiveServer* server = find_object_server(object_id);
-  if (server == nullptr) return;
-  const ArchiveObject* obj = server->object(object_id);
-  if (obj == nullptr) return;
-  ArchiveObject updated = *obj;
-  if (updated.cartridge_id == old_cart) {
-    updated.cartridge_id = new_cart;
-    updated.tape_seq = new_seq;
-  } else {
-    for (auto& replica : updated.copies) {
-      if (replica.cartridge_id == old_cart) {
-        replica.cartridge_id = new_cart;
-        replica.tape_seq = new_seq;
-        break;
+  if (ArchiveServer* server = find_object_server(object_id)) {
+    ArchiveObject updated = *server->object(object_id);
+    if (updated.cartridge_id == old_cart) {
+      updated.cartridge_id = new_cart;
+      updated.tape_seq = new_seq;
+    } else {
+      for (auto& replica : updated.copies) {
+        if (replica.cartridge_id == old_cart) {
+          replica.cartridge_id = new_cart;
+          replica.tape_seq = new_seq;
+          break;
+        }
+      }
+    }
+    const std::vector<std::uint64_t> members = updated.members;
+    server->record_object(std::move(updated));
+    // Aggregate members carry their own (exported) copy of the primary
+    // location; refresh them when the primary segment moved.
+    for (const std::uint64_t member_id : members) {
+      ArchiveServer* ms = find_object_server(member_id);
+      if (ms == nullptr) continue;
+      ArchiveObject mu = *ms->object(member_id);
+      if (mu.cartridge_id == old_cart) {
+        mu.cartridge_id = new_cart;
+        mu.tape_seq = new_seq;
+        ms->record_object(std::move(mu));
       }
     }
   }
-  const std::vector<std::uint64_t> members = updated.members;
-  server->record_object(std::move(updated));
-  // Aggregate members carry their own (exported) copy of the primary
-  // location; refresh them when the primary segment moved.
-  for (const std::uint64_t member_id : members) {
-    ArchiveServer* ms = find_object_server(member_id);
-    if (ms == nullptr) continue;
-    const ArchiveObject* member = ms->object(member_id);
-    if (member == nullptr) continue;
-    ArchiveObject mu = *member;
-    if (mu.cartridge_id == old_cart) {
-      mu.cartridge_id = new_cart;
-      mu.tape_seq = new_seq;
-      ms->record_object(std::move(mu));
-    }
-  }
+  // The fixity row follows the segment even when the object row is gone:
+  // it describes the bits on tape, not the catalog entry.
+  fixity_.relocate(object_id, old_cart, new_cart, new_seq);
 }
 
 // ---------------------------------------------------------------------------

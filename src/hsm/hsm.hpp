@@ -384,8 +384,9 @@ class HsmSystem : public pfs::DmapiListener {
   void drain_sessions(std::function<void()> k);
 
   /// Erases one object from the catalog with full media/fixity cascade
-  /// (aggregate-member aware).  Shared by synchronous_delete and the
-  /// crash-recovery roll-forward of deletes that lost their ack.
+  /// (aggregate-member aware).  Shared by synchronous_delete, the reconcile
+  /// agent's orphan delete and the crash-recovery roll-forward of deletes
+  /// that lost their ack.
   void delete_object_cascade(ArchiveServer& server, std::uint64_t object_id);
 
   void run_reclaim_volume(std::shared_ptr<ReclaimJob> job);
@@ -394,9 +395,16 @@ class HsmSystem : public pfs::DmapiListener {
   /// each server hands out ids from its own counter but lookups scan all).
   ArchiveServer* find_object_server(std::uint64_t object_id);
   /// Updates the owner's recorded location after a segment moved from
-  /// `old_cart` to (new_cart, new_seq), including members and export rows.
+  /// `old_cart` to (new_cart, new_seq), including members, export rows and
+  /// the fixity row.
   void relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
                        std::uint64_t new_cart, std::uint64_t new_seq);
+  /// (cartridge, seq) tape locations of an object, shared across retries.
+  using Locations =
+      std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>>;
+  /// The object's recorded locations (primary first, then copies) that are
+  /// not on `except_cart`; empty when the object is unknown.
+  Locations other_locations(std::uint64_t object_id, std::uint64_t except_cart);
 
   /// Folds a finished job's report into the hsm.* counters and closes its
   /// span.  Accounting happens per batch/job, so registry totals match the
@@ -414,15 +422,20 @@ class HsmSystem : public pfs::DmapiListener {
   /// Records the upcoming retry-backoff window [now, now+delay) under
   /// `parent` so the profiler can attribute fault-handling latency.
   void trace_backoff(obs::SpanId parent, sim::Tick delay);
+  /// Mounts `cart` in `drive`, records the mount wait under `span`, then
+  /// runs `k`.
+  void mount_traced(tape::TapeDrive& drive, tape::Cartridge& cart,
+                    obs::SpanId span, std::function<void()> k);
 
+  /// Takes the scrub's one Maintenance drive, then resumes the row walk.
+  void acquire_scrub_drive(std::shared_ptr<ScrubJob> job);
   void run_scrub_row(std::shared_ptr<ScrubJob> job);
   /// Tries repair sources in lattice order: each alternate tape location
   /// in `alts` (read + verify), then the disk-resident original, then
   /// declares the row unrepairable.
-  void run_scrub_repair(
-      std::shared_ptr<ScrubJob> job, const integrity::FixityRow& row,
-      std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-      std::size_t alt_idx);
+  void run_scrub_repair(std::shared_ptr<ScrubJob> job,
+                        const integrity::FixityRow& row, Locations alts,
+                        std::size_t alt_idx);
   /// Rewrites a corrupted segment from `pools` into a fresh volume of the
   /// bad cartridge's family and rebinds object + fixity rows to it.
   void write_scrub_repair(std::shared_ptr<ScrubJob> job,
@@ -440,11 +453,18 @@ class HsmSystem : public pfs::DmapiListener {
   /// Recall-verify fallback: re-reads the object from each untried tape
   /// location until one passes fixity, remounting the batch cartridge
   /// before the walk continues; exhausted -> files_unrepairable.
-  void recall_fallback(
-      std::shared_ptr<RecallJob> job, std::size_t work_idx,
-      std::size_t entry_idx, tape::TapeDrive& drive,
-      std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-      std::size_t alt_idx);
+  void recall_fallback(std::shared_ptr<RecallJob> job, std::size_t work_idx,
+                       std::size_t entry_idx, tape::TapeDrive& drive,
+                       Locations alts, std::size_t alt_idx);
+  /// An entry's bytes arrived and verified: counts it, marks the file
+  /// recalled and submits its bookkeeping round-trip; `next` runs once the
+  /// session accepts it.
+  void recall_verified(std::shared_ptr<RecallJob> job, std::size_t work_idx,
+                       std::size_t entry_idx, std::function<void()> next);
+  /// Remounts the batch cartridge after a fallback and resumes the batch
+  /// at the entry after `entry_idx`.
+  void resume_recall_batch(std::shared_ptr<RecallJob> job, std::size_t work_idx,
+                           std::size_t entry_idx, tape::TapeDrive& drive);
 
   void run_migrate_unit(std::shared_ptr<MigrateJob> job);
   /// Records the just-written unit's objects (every member and the
@@ -454,7 +474,10 @@ class HsmSystem : public pfs::DmapiListener {
                            std::uint64_t unit_oid, std::uint64_t cart_id,
                            std::uint64_t seq);
   void finish_migrate(std::shared_ptr<MigrateJob> job);
-  void run_recall_cart(std::shared_ptr<RecallJob> job, std::size_t work_idx);
+  /// Acquires a drive and mounts the batch's cartridge, then recalls from
+  /// `entry_idx` on (0 at launch; the failed entry on drive failover).
+  void run_recall_cart(std::shared_ptr<RecallJob> job, std::size_t work_idx,
+                       std::size_t entry_idx);
   void run_recall_entry(std::shared_ptr<RecallJob> job, std::size_t work_idx,
                         std::size_t entry_idx, tape::TapeDrive& drive);
   /// Network-side legs only (SAN or LAN+server), no disk.

@@ -18,27 +18,20 @@
 #include <vector>
 
 #include "metadb/table.hpp"
+#include "simcore/splitmix64.hpp"
 
 namespace cpa::integrity {
 
-/// splitmix64 finalizer: the canonical mix `chunk_tag` already uses.
-constexpr std::uint64_t fixity_mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 /// Folds one more identity word into a running checksum.
 constexpr std::uint64_t fixity_fold(std::uint64_t h, std::uint64_t v) {
-  return fixity_mix(h ^ v);
+  return splitmix64(h ^ v);
 }
 
 /// Checksum of one content unit: (id, length, chunk index) under `salt`.
 constexpr std::uint64_t fixity_checksum(std::uint64_t id, std::uint64_t length,
                                         std::uint64_t chunk_index,
                                         std::uint64_t salt) {
-  return fixity_fold(fixity_fold(fixity_fold(fixity_mix(salt), id), length),
+  return fixity_fold(fixity_fold(fixity_fold(splitmix64(salt), id), length),
                      chunk_index);
 }
 

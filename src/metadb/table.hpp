@@ -35,7 +35,7 @@ struct TableStats {
   std::uint64_t range_lookups = 0;
   std::uint64_t full_scans = 0;
   std::uint64_t rows_scanned = 0;  // rows touched by full scans
-  std::uint64_t bulk_batches = 0;  // bulk insert/upsert/erase calls
+  std::uint64_t bulk_batches = 0;  // erase_bulk/assign_sorted calls
   std::uint64_t bulk_rows = 0;     // rows carried by those calls
 };
 
@@ -105,42 +105,6 @@ class Table {
     rows_.erase(it);
     ++stats_.erases;
     return true;
-  }
-
-  /// Bulk load: inserts `rows` in order, skipping primary-key duplicates;
-  /// returns the number actually inserted.  One batch, however many rows —
-  /// the metadata-batching layer's amortized write path.
-  std::size_t insert_bulk(std::vector<Row> rows) {
-    ++stats_.bulk_batches;
-    stats_.bulk_rows += rows.size();
-    std::size_t n = 0;
-    for (Row& row : rows) {
-      const Key k = pk_(row);
-      auto [it, inserted] = rows_.emplace(k, std::move(row));
-      if (!inserted) continue;
-      index_row(it->second, k);
-      ++stats_.inserts;
-      ++n;
-    }
-    return n;
-  }
-
-  /// Bulk upsert: inserts or replaces each row by primary key, in order.
-  void upsert_bulk(std::vector<Row> rows) {
-    ++stats_.bulk_batches;
-    stats_.bulk_rows += rows.size();
-    for (Row& row : rows) {
-      const Key k = pk_(row);
-      if (auto it = rows_.find(k); it != rows_.end()) {
-        deindex_row(it->second, k);
-        it->second = std::move(row);
-        index_row(it->second, k);
-      } else {
-        auto [it2, inserted] = rows_.emplace(k, std::move(row));
-        index_row(it2->second, k);
-        ++stats_.inserts;
-      }
-    }
   }
 
   /// Bulk erase by primary key; returns the number of rows removed.
@@ -237,15 +201,6 @@ class Table {
     std::vector<const Row*> out;
     visit_range_u64(idx, lo, hi, [&](const Row& row) { out.push_back(&row); });
     return out;
-  }
-
-  /// Allocation-free range visitor: rows with attribute in [lo, hi],
-  /// ascending by attribute (ties broken by primary key).
-  template <typename Fn>
-  void for_each_range(IndexId idx, std::uint64_t lo, std::uint64_t hi,
-                      Fn&& fn) const {
-    ++stats_.range_lookups;
-    visit_range_u64(idx, lo, hi, std::forward<Fn>(fn));
   }
 
   /// Full-table scan with a predicate — the only query the un-exported TSM

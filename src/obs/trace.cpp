@@ -372,32 +372,6 @@ bool TraceRecorder::write_chrome_json(const std::string& path) const {
   return static_cast<bool>(f);
 }
 
-std::string TraceRecorder::csv() const {
-  std::string out = "begin_us,end_us,component,track,phase,name\n";
-  for (const Event& ev : events_) {
-    append_us(ev.begin, out);
-    out += ",";
-    append_us(ev.open ? std::max(ev.begin, max_tick_) : ev.end, out);
-    out += ",";
-    out += to_string(ev.comp);
-    out += ",";
-    out += tracks_[ev.track].name;
-    out += ",";
-    out += ev.phase;
-    out += ",";
-    out += ev.name;
-    out += "\n";
-  }
-  return out;
-}
-
-bool TraceRecorder::write_csv(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << csv();
-  return static_cast<bool>(f);
-}
-
 std::string TraceRecorder::serialize() const {
   std::string out = "CPATRACE 1\n";
   out += "m " + std::to_string(max_tick_) + "\n";

@@ -136,10 +136,6 @@ class TraceRecorder {
   /// causal edges appear as flow arrows ("s"/"f" event pairs).
   [[nodiscard]] std::string chrome_json() const;
   bool write_chrome_json(const std::string& path) const;
-  /// Compact text dump: one line per event,
-  /// "begin_us,end_us,component,track,phase,name".
-  [[nodiscard]] std::string csv() const;
-  bool write_csv(const std::string& path) const;
   /// Lossless self-describing dump (events, args, tracks, edges) that
   /// `load()` reads back, so pfprof can analyse a recorded trace offline.
   [[nodiscard]] std::string serialize() const;

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "fault/plan.hpp"
+#include "simcore/splitmix64.hpp"
 #include "simcore/time.hpp"
 #include "simcore/units.hpp"
 
@@ -90,10 +91,7 @@ struct PftoolConfig {
 /// comparison works across representations.
 [[nodiscard]] constexpr std::uint64_t chunk_tag(std::uint64_t file_tag,
                                                 std::uint64_t index) {
-  std::uint64_t x = file_tag ^ (index + 0x9E3779B97F4A7C15ULL);
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  return mix64(file_tag ^ (index + kSplitMix64Gamma));
 }
 
 }  // namespace cpa::pftool

@@ -3,16 +3,10 @@
 #include <cassert>
 #include <cmath>
 
+#include "simcore/splitmix64.hpp"
+
 namespace cpa::sim {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -21,8 +15,12 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
+  // Seeded from a SplitMix64 stream, as xoshiro's authors recommend.
   std::uint64_t x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) {
+    x += kSplitMix64Gamma;
+    s = mix64(x);
+  }
   // xoshiro must not start from the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }

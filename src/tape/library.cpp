@@ -85,10 +85,6 @@ void TapeLibrary::pump_idle_drives() {
   }
 }
 
-void TapeLibrary::acquire_drive(std::function<void(TapeDrive&)> on_grant) {
-  acquire_drive(DriveRequest{}, std::move(on_grant));
-}
-
 void TapeLibrary::acquire_drive(DriveRequest req,
                                 std::function<void(TapeDrive&)> on_grant) {
   req.enqueued = sim_.now();
@@ -138,18 +134,6 @@ Cartridge& TapeLibrary::new_cartridge(const std::string& group) {
 Cartridge* TapeLibrary::cartridge(CartridgeId id) {
   auto it = cartridges_.find(id);
   return it == cartridges_.end() ? nullptr : it->second.get();
-}
-
-Cartridge& TapeLibrary::open_cartridge_for(const std::string& group,
-                                           std::uint64_t bytes) {
-  auto it = open_by_group_.find(group);
-  if (it != open_by_group_.end()) {
-    Cartridge* cart = cartridge(it->second);
-    if (cart != nullptr && cart->fits(bytes)) return *cart;
-  }
-  Cartridge& fresh = new_cartridge(group);
-  open_by_group_[group] = fresh.id();
-  return fresh;
 }
 
 Cartridge& TapeLibrary::checkout_cartridge(const std::string& group,

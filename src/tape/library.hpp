@@ -66,9 +66,7 @@ class TapeLibrary {
 
   // --- drive allocation ----------------------------------------------------
   /// Grants an idle drive (FIFO, or per the arbiter); the callback
-  /// receives the drive.  The unclassified overload is equivalent to an
-  /// unmanaged DriveRequest.
-  void acquire_drive(std::function<void(TapeDrive&)> on_grant);
+  /// receives the drive.  A default DriveRequest is unmanaged.
   void acquire_drive(DriveRequest req, std::function<void(TapeDrive&)> on_grant);
   void release_drive(TapeDrive& drive);
   [[nodiscard]] unsigned idle_drives() const;
@@ -101,9 +99,6 @@ class TapeLibrary {
   // --- cartridges ------------------------------------------------------------
   Cartridge& new_cartridge(const std::string& colocation_group = "");
   [[nodiscard]] Cartridge* cartridge(CartridgeId id);
-  /// The open append-target cartridge for a co-location group with at
-  /// least `bytes` free; allocates a fresh scratch cartridge if needed.
-  Cartridge& open_cartridge_for(const std::string& group, std::uint64_t bytes);
   [[nodiscard]] std::size_t cartridge_count() const { return cartridges_.size(); }
 
   /// Visits every cartridge (ascending id).
@@ -175,7 +170,6 @@ class TapeLibrary {
   std::uint64_t next_request_seq_ = 0;
   sim::Resource robot_;
   std::map<CartridgeId, std::unique_ptr<Cartridge>> cartridges_;
-  std::map<std::string, CartridgeId> open_by_group_;
   std::set<CartridgeId> checked_out_;
   CartridgeId next_cartridge_id_ = 1;
   std::vector<unsigned> power_failed_drives_;  // repaired by power_restore()

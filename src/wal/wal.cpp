@@ -4,6 +4,8 @@
 #include <array>
 #include <cstring>
 
+#include "simcore/splitmix64.hpp"
+
 namespace cpa::wal {
 namespace {
 
@@ -40,13 +42,6 @@ std::uint32_t get_u32(const char* p) {
     return static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]));
   };
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
-}
-
-std::uint64_t splitmix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace

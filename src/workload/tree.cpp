@@ -2,13 +2,12 @@
 
 #include <cstdio>
 
+#include "simcore/splitmix64.hpp"
+
 namespace cpa::workload {
 
 std::uint64_t tree_file_tag(std::uint64_t tag_seed, std::uint64_t index) {
-  std::uint64_t x = tag_seed ^ (index * 0x9E3779B97F4A7C15ULL + 1);
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  return mix64(tag_seed ^ (index * kSplitMix64Gamma + 1));
 }
 
 std::string tree_file_path(const TreeSpec& spec, std::uint64_t index) {

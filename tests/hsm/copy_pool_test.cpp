@@ -118,6 +118,37 @@ TEST_F(CopyPoolTest, SynchronousDeleteReclaimsAllReplicas) {
   EXPECT_EQ(hsm_.server(0).object_count(), 0u);
 }
 
+// The reconcile agent's orphan delete is the synchronous delete's cascade:
+// a plainly unlinked file loses its copy-pool segment and every fixity row
+// too, not only the primary.
+TEST_F(CopyPoolTest, ReconcileDeleteReclaimsAllReplicasAndFixityRows) {
+  make_file("/arch/f", 100 * kMB, 1);
+  hsm_.migrate_batch(0, {"/arch/f"}, "g", nullptr);
+  sim_.run();
+  const auto* row = hsm_.server(0).export_db().by_path("/arch/f");
+  ASSERT_NE(row, nullptr);
+  const std::uint64_t oid = row->object_id;
+  ASSERT_EQ(hsm_.fixity_db().by_object(oid).size(), 2u);
+  ASSERT_EQ(fs_.unlink("/arch/f"), pfs::Errc::Ok);  // bypasses the HSM
+
+  std::optional<ReconcileReport> rec;
+  hsm_.reconcile(true, [&](const ReconcileReport& r) { rec = r; });
+  sim_.run();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->orphans_deleted, 1u);
+  EXPECT_EQ(hsm_.server(0).object_count(), 0u);
+  unsigned live = 0;
+  lib_.for_each_cartridge([&](tape::Cartridge& cart) {
+    for (const tape::Segment& s : cart.segments()) {
+      if (s.object_id == oid) ++live;
+    }
+  });
+  EXPECT_EQ(live, 0u);
+  EXPECT_EQ(lib_.cartridge(1)->dead_bytes(), 100 * kMB);
+  EXPECT_EQ(lib_.cartridge(2)->dead_bytes(), 100 * kMB);
+  EXPECT_TRUE(hsm_.fixity_db().by_object(oid).empty());
+}
+
 struct AggregatedCopyPoolTest : CopyPoolTest {
   AggregatedCopyPoolTest() : CopyPoolTest(2, true) {}
 };

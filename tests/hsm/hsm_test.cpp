@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 
 #include "simcore/units.hpp"
 
@@ -165,6 +166,41 @@ TEST_F(HsmTest, TapeOrderedRecallAvoidsSeeks) {
   EXPECT_EQ(report->files_recalled, 12u);
   // Ordered: at most the initial position seek.
   EXPECT_LE(lib_.aggregate_stats().seeks - seeks_before, 1u);
+}
+
+// A drive that dies mid-batch hands the rest of its cartridge's batch to
+// a healthy drive: the interrupted entry is re-read there after one
+// backoff, and the batch completes.  Report and finish tick are pinned.
+TEST_F(HsmTest, RecallFailsOverToAnotherDriveMidBatch) {
+  std::vector<std::string> paths;
+  for (int i = 0; i < 6; ++i) {
+    const std::string p = "/arch/r" + std::to_string(i);
+    make_file(p, 200 * kMB, 0x300 + static_cast<std::uint64_t>(i));
+    paths.push_back(p);
+  }
+  hsm_.migrate_batch(0, paths, "g", nullptr);
+  sim_.run();
+  const sim::Tick t0 = sim_.now();
+  std::optional<RecallReport> report;
+  hsm_.recall(paths, RecallOptions{},
+              [&](const RecallReport& r) { report = r; });
+  // Drive 0 still holds the migrated volume, so the recall gets it first;
+  // it dies while streaming the fourth entry.
+  sim_.after(sim::secs(15), [&] { lib_.fail_drive(0); });
+  sim_.run();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->files_recalled, 6u);
+  EXPECT_EQ(report->files_failed, 0u);
+  EXPECT_EQ(report->retries, 1u);
+  EXPECT_EQ(report->bytes, 1200 * kMB);
+  EXPECT_EQ(report->tape_bytes, 1200 * kMB);
+  EXPECT_EQ(report->started, t0);
+  EXPECT_EQ(report->finished - t0, sim::usecs(135004000));
+  EXPECT_EQ(lib_.drive(0).stats().read_txns, 3u);
+  EXPECT_EQ(lib_.drive(1).stats().read_txns, 3u);
+  for (const auto& p : paths) {
+    EXPECT_EQ(fs_.stat(p).value().dmapi, pfs::DmapiState::Premigrated);
+  }
 }
 
 TEST_F(HsmTest, UnorderedRecallThrashesWithSeeks) {
@@ -425,6 +461,33 @@ TEST_F(AggregationTest, DeletingAllMembersReclaimsAggregateSegment) {
   EXPECT_EQ(lib_.cartridge(cart_id)->dead_bytes(), 24 * kMB);
 }
 
+TEST_F(AggregationTest, ReconcileDeleteOfEveryMemberReclaimsAggregate) {
+  std::vector<std::string> paths;
+  for (int i = 0; i < 3; ++i) {
+    const std::string p = "/arch/s" + std::to_string(i);
+    make_file(p, 8 * kMB, static_cast<std::uint64_t>(i));
+    paths.push_back(p);
+  }
+  hsm_.migrate_batch(0, paths, "g", nullptr);
+  sim_.run();
+  const auto* row = hsm_.server(0).export_db().by_path(paths[0]);
+  ASSERT_NE(row, nullptr);
+  const std::uint64_t cart_id = row->tape_id;
+  const std::uint64_t agg_id = hsm_.server(0).object(row->object_id)->aggregate_id;
+  ASSERT_NE(hsm_.server(0).object(agg_id), nullptr);
+
+  for (const auto& p : paths) ASSERT_EQ(fs_.unlink(p), pfs::Errc::Ok);
+  std::optional<ReconcileReport> rec;
+  hsm_.reconcile(true, [&](const ReconcileReport& r) { rec = r; });
+  sim_.run();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->orphans_deleted, 3u);
+  EXPECT_EQ(hsm_.server(0).object(agg_id), nullptr);
+  EXPECT_EQ(hsm_.server(0).object_count(), 0u);  // members + aggregate gone
+  EXPECT_EQ(lib_.cartridge(cart_id)->dead_bytes(), 24 * kMB);
+  EXPECT_TRUE(hsm_.fixity_db().by_object(agg_id).empty());
+}
+
 // --- multi-server routing ----------------------------------------------------
 
 struct MultiServerTest : HsmTest {
@@ -455,6 +518,84 @@ TEST_F(MultiServerTest, ObjectsSpreadAcrossServers) {
   hsm_.recall(paths, RecallOptions{}, [&](const RecallReport& r) { report = r; });
   sim_.run();
   EXPECT_EQ(report->files_recalled, 32u);
+}
+
+// Aggregation with a copy pool over four hash-routed servers.  An
+// aggregate lives on the server of its unit's first member, so most
+// members are routed to other servers than their aggregate.
+struct MultiServerAggregationTest : HsmTest {
+  static HsmConfig cfg() {
+    HsmConfig c = AggregationTest::agg_config();
+    c.server_count = 4;
+    c.tape_copies = 2;
+    return c;
+  }
+  MultiServerAggregationTest() : HsmTest(cfg()) {}
+
+  /// Migrates eight small files into one aggregate and finds it.
+  void migrate_members() {
+    for (int i = 0; i < 8; ++i) {
+      const std::string p = "/arch/s" + std::to_string(i);
+      make_file(p, 8 * kMB, 0x500 + static_cast<std::uint64_t>(i));
+      paths.push_back(p);
+    }
+    hsm_.migrate_batch(0, paths, "g", nullptr);
+    sim_.run();
+    std::set<unsigned> member_servers;
+    for (unsigned s = 0; s < hsm_.server_count(); ++s) {
+      hsm_.server(s).for_each_object([&](const ArchiveObject& o) {
+        if (o.is_aggregate()) {
+          agg_id = o.object_id;
+          primary_cart = o.cartridge_id;
+          ASSERT_EQ(o.copies.size(), 1u);
+          copy_cart = o.copies.front().cartridge_id;
+        } else {
+          member_servers.insert(s);
+        }
+      });
+    }
+    ASSERT_NE(agg_id, 0u);
+    ASSERT_GE(member_servers.size(), 2u);  // members span several servers
+  }
+
+  std::vector<std::string> paths;
+  std::uint64_t agg_id = 0;
+  std::uint64_t primary_cart = 0;
+  std::uint64_t copy_cart = 0;
+};
+
+// Deleting members routed to other servers than the aggregate's must
+// still shrink it, and the last delete must reclaim both its segments.
+TEST_F(MultiServerAggregationTest, DeletingAllMembersReclaimsAggregate) {
+  migrate_members();
+  for (const auto& p : paths) hsm_.synchronous_delete(p, nullptr);
+  sim_.run();
+  for (unsigned s = 0; s < hsm_.server_count(); ++s) {
+    EXPECT_EQ(hsm_.server(s).object(agg_id), nullptr);
+    EXPECT_EQ(hsm_.server(s).object_count(), 0u);
+  }
+  EXPECT_EQ(lib_.cartridge(primary_cart)->dead_bytes(), 64 * kMB);
+  EXPECT_EQ(lib_.cartridge(copy_cart)->dead_bytes(), 64 * kMB);
+  EXPECT_TRUE(hsm_.fixity_db().by_object(agg_id).empty());
+}
+
+// With the primary volume damaged, every member recalls from the
+// aggregate's copy-pool replica, whichever server the member lives on.
+TEST_F(MultiServerAggregationTest, DamagedPrimaryRecallsEveryMemberFromCopy) {
+  migrate_members();
+  lib_.cartridge(primary_cart)->set_damaged(true);
+  std::optional<RecallReport> report;
+  hsm_.recall(paths, RecallOptions{},
+              [&](const RecallReport& r) { report = r; });
+  sim_.run();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->files_recalled, 8u);
+  EXPECT_EQ(report->files_failed, 0u);
+  for (unsigned i = 0; i < 8; ++i) {
+    const auto tag = fs_.read_tag(paths[i]);
+    ASSERT_TRUE(tag.ok()) << paths[i];
+    EXPECT_EQ(tag.value(), 0x500u + i);
+  }
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(Fixity, ChecksumIsDeterministicAndSensitiveToEveryInput) {
 }
 
 TEST(Fixity, FoldOrderMatters) {
-  const std::uint64_t h = fixity_mix(1);
+  const std::uint64_t h = splitmix64(1);
   EXPECT_NE(fixity_fold(fixity_fold(h, 2), 3), fixity_fold(fixity_fold(h, 3), 2));
 }
 
@@ -319,6 +319,29 @@ TEST_F(IntegrityTest, ScrubYieldsToConcurrentRecalls) {
   EXPECT_EQ(recall_report->files_failed, 0u);
   EXPECT_EQ(scrub_report->segments_scanned, 12u);
   EXPECT_LE(scrub_report->scan_rate_bps(), cfg.rate_limit_bps);
+}
+
+// A scrub whose drive dies mid-pass gives it back and carries on with a
+// healthy one.  Report and finish tick are pinned.
+TEST_F(IntegrityTest, ScrubFailsOverToAnotherDrive) {
+  migrate_files(6);
+  const sim::Tick t0 = sim_.now();
+  std::optional<ScrubReport> report;
+  hsm_.scrub(ScrubConfig{}, [&](const ScrubReport& r) { report = r; });
+  // The scrub takes the first idle drive, drive 0, which dies while
+  // reading the first cartridge's fourth segment: that read is lost, the
+  // rest of the pass runs on drive 1.
+  sim_.after(sim::secs(103), [&] { lib_.fail_drive(0); });
+  sim_.run();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->segments_scanned, 11u);
+  EXPECT_EQ(report->read_errors, 1u);
+  EXPECT_EQ(report->cartridges_visited, 2u);
+  EXPECT_EQ(report->mismatches, 0u);
+  EXPECT_EQ(report->started, t0);
+  EXPECT_EQ(report->finished - t0, sim::usecs(316965500));
+  EXPECT_EQ(lib_.drive(0).stats().read_txns, 3u);
+  EXPECT_EQ(lib_.drive(1).stats().read_txns, 8u);
 }
 
 // Single-copy plant: exercises re-migration and exactly-once unrepairable.

@@ -146,18 +146,11 @@ TEST_F(TableTest, VisitorsMatchLookupWithoutMaterializing) {
                   [&](const Item& i) { ids.push_back(i.id); });
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{3, 4}));
 
-  ids.clear();
-  t_.for_each_range(by_group_, 10, 20,
-                    [&](const Item& i) { ids.push_back(i.id); });
-  // Range walk: ascending attribute, ties broken by primary key.
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 4, 3}));
-
   int n = 0;
   t_.for_each_u64(by_group_, 999, [&](const Item&) { ++n; });
   EXPECT_EQ(n, 0);
-  // Visitors count as index/range lookups, same as the vector forms.
+  // Visitors count as index lookups, same as the vector forms.
   EXPECT_EQ(t_.stats().index_lookups, 3u);
-  EXPECT_EQ(t_.stats().range_lookups, 1u);
 }
 
 TEST_F(TableTest, FirstMatchReturnsLowestPrimaryKey) {
@@ -175,21 +168,24 @@ TEST_F(TableTest, FirstMatchReturnsLowestPrimaryKey) {
 }
 
 TEST_F(TableTest, BulkOpsApplyPerRowAndCountBatches) {
-  EXPECT_EQ(t_.insert_bulk({{1, 10, "a", 0}, {2, 10, "b", 0}, {1, 9, "dup", 0}}),
-            2u);  // duplicate pk skipped
-  EXPECT_EQ(t_.size(), 2u);
-  t_.upsert_bulk({{1, 20, "a2", 1}, {3, 20, "c", 2}});
+  const std::vector<Item> rows = {
+      {1, 10, "a", 0}, {2, 10, "b", 0}, {3, 20, "c", 0}};
+  std::size_t next = 0;
+  t_.assign_sorted([&](Item& row) {
+    if (next == rows.size()) return false;
+    row = rows[next++];
+    return true;
+  });
   EXPECT_EQ(t_.size(), 3u);
-  EXPECT_EQ(t_.find(1)->group, 20u);
-  // Indexes follow bulk upserts.
-  EXPECT_TRUE(t_.lookup_u64(by_group_, 10).size() == 1u);
-  EXPECT_EQ(t_.lookup_u64(by_group_, 20).size(), 2u);
+  // Indexes are built for bulk-loaded rows.
+  EXPECT_EQ(t_.lookup_u64(by_group_, 10).size(), 2u);
   EXPECT_EQ(t_.erase_bulk({1, 3, 77}), 2u);  // missing key skipped
   EXPECT_EQ(t_.size(), 1u);
+  EXPECT_EQ(t_.lookup_u64(by_group_, 20).size(), 0u);  // deindexed
   const auto& s = t_.stats();
-  EXPECT_EQ(s.bulk_batches, 3u);
-  EXPECT_EQ(s.bulk_rows, 3u + 2u + 3u);
-  EXPECT_EQ(s.inserts, 3u);  // 2 bulk-inserted + 1 new row via bulk upsert
+  EXPECT_EQ(s.bulk_batches, 2u);
+  EXPECT_EQ(s.bulk_rows, 3u + 3u);
+  EXPECT_EQ(s.inserts, 3u);
   EXPECT_EQ(s.erases, 2u);
 }
 

@@ -9,6 +9,18 @@
 namespace cpa::obs {
 namespace {
 
+/// Checks one recorded span: its resolved interval, row and name.
+void expect_span(const TraceRecorder::SpanView& v, sim::Tick begin,
+                 sim::Tick end, Component comp, const std::string& track,
+                 const std::string& name) {
+  EXPECT_EQ(v.begin, begin);
+  EXPECT_EQ(v.end, end);
+  EXPECT_EQ(v.comp, comp);
+  EXPECT_EQ(v.phase, 'X');
+  EXPECT_EQ(*v.track, track);
+  EXPECT_EQ(*v.name, name);
+}
+
 TEST(TraceRecorder, DisabledRecordsNothing) {
   TraceRecorder tr;
   const SpanId id = tr.begin(Component::Tape, "drive0", "mount", sim::secs(1));
@@ -32,12 +44,11 @@ TEST(TraceRecorder, SpansNestAndOrderOnVirtualTime) {
   EXPECT_EQ(tr.event_count(), 2u);
   EXPECT_EQ(tr.track_count(), 1u);
   EXPECT_EQ(tr.events_for(Component::Hsm), 2u);
-  // The CSV dump preserves recording order and closed-span durations.
-  const std::string csv = tr.csv();
-  EXPECT_NE(csv.find("1000000.000,5000000.000,hsm,migrate,X,batch"),
-            std::string::npos);
-  EXPECT_NE(csv.find("2000000.000,3000000.000,hsm,migrate,X,unit"),
-            std::string::npos);
+  // Views preserve recording order and closed-span durations.
+  expect_span(tr.view(0), sim::secs(1), sim::secs(5), Component::Hsm,
+              "migrate", "batch");
+  expect_span(tr.view(1), sim::secs(2), sim::secs(3), Component::Hsm,
+              "migrate", "unit");
 }
 
 TEST(TraceRecorder, EndClampsToBeginAndIgnoresDoubleClose) {
@@ -46,9 +57,8 @@ TEST(TraceRecorder, EndClampsToBeginAndIgnoresDoubleClose) {
   const SpanId id = tr.begin(Component::Net, "flow#0", "xfer", sim::secs(4));
   tr.end(id, sim::secs(2));  // virtual clocks never run backwards; clamp
   tr.end(id, sim::secs(9));  // double close is a no-op
-  const std::string csv = tr.csv();
-  EXPECT_NE(csv.find("4000000.000,4000000.000,net,flow#0,X,xfer"),
-            std::string::npos);
+  expect_span(tr.view(0), sim::secs(4), sim::secs(4), Component::Net, "flow#0",
+              "xfer");
 }
 
 TEST(TraceRecorder, LanesAllocateLowestFreeAndRecycle) {
@@ -64,9 +74,8 @@ TEST(TraceRecorder, LanesAllocateLowestFreeAndRecycle) {
   tr.end(b, sim::secs(3));
   tr.end(c, sim::secs(3));
   EXPECT_EQ(tr.track_count(), 2u);
-  const std::string csv = tr.csv();
-  EXPECT_NE(csv.find("2000000.000,3000000.000,net,flow#0,X,c"),
-            std::string::npos);
+  expect_span(tr.view(2), sim::secs(2), sim::secs(3), Component::Net, "flow#0",
+              "c");
 }
 
 TEST(TraceRecorder, UnfinishedSpansCloseAtMaxTickOnExport) {
@@ -74,9 +83,8 @@ TEST(TraceRecorder, UnfinishedSpansCloseAtMaxTickOnExport) {
   tr.set_enabled(true);
   tr.begin(Component::Pftool, "job#0", "pfcp", sim::secs(1));
   tr.instant(Component::Pftool, "watchdog", "tick", sim::secs(7));
-  const std::string csv = tr.csv();
-  EXPECT_NE(csv.find("1000000.000,7000000.000,pftool,job#0,X,pfcp"),
-            std::string::npos);
+  expect_span(tr.view(0), sim::secs(1), sim::secs(7), Component::Pftool,
+              "job#0", "pfcp");
 }
 
 // Byte-exact golden output: the exporter's framing, separators, virtual-us
@@ -150,7 +158,7 @@ TEST(TraceRecorder, ClearResetsLaneAllocatorsAndTracks) {
   const SpanId c = tr.begin_lane(Component::Net, "flow", "c", sim::secs(1));
   tr.end(c, sim::secs(2));
   EXPECT_EQ(tr.track_count(), 1u);
-  EXPECT_NE(tr.csv().find("net,flow#0,X,c"), std::string::npos);
+  EXPECT_EQ(*tr.view(0).track, "flow#0");
 }
 
 TEST(TraceRecorder, DoubleEndDoesNotFreeAnotherSpansLane) {
@@ -167,7 +175,8 @@ TEST(TraceRecorder, DoubleEndDoesNotFreeAnotherSpansLane) {
   tr.end(b, sim::secs(4));
   tr.end(c, sim::secs(4));
   EXPECT_EQ(tr.track_count(), 2u);  // flow#0 (a, b) and flow#1 (c)
-  EXPECT_NE(tr.csv().find("net,flow#1,X,c"), std::string::npos);
+  EXPECT_EQ(*tr.view(2).track, "flow#1");
+  EXPECT_EQ(*tr.view(2).name, "c");
 }
 
 TEST(TraceRecorder, LinkRecordsOnlyForwardCurrentEpochEdges) {
@@ -240,7 +249,16 @@ TEST(TraceRecorder, SaveLoadRoundTripsEventsArgsAndEdges) {
   EXPECT_EQ(back.track_count(), tr.track_count());
   EXPECT_EQ(back.edge_count(), tr.edge_count());
   EXPECT_EQ(back.edges(), tr.edges());
-  EXPECT_EQ(back.csv(), tr.csv());
+  for (std::size_t i = 0; i < tr.event_count(); ++i) {
+    const TraceRecorder::SpanView want = tr.view(i);
+    const TraceRecorder::SpanView got = back.view(i);
+    EXPECT_EQ(got.begin, want.begin);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.comp, want.comp);
+    EXPECT_EQ(got.phase, want.phase);
+    EXPECT_EQ(*got.track, *want.track);
+    EXPECT_EQ(*got.name, *want.name);
+  }
   EXPECT_EQ(back.chrome_json(), tr.chrome_json());
 
   TraceRecorder bad;

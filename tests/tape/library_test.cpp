@@ -25,7 +25,8 @@ class LibraryTest : public ::testing::Test {
 TEST_F(LibraryTest, AcquireGrantsUpToDriveCount) {
   std::vector<TapeDrive*> granted;
   for (int i = 0; i < 3; ++i) {
-    lib_.acquire_drive([&](TapeDrive& d) { granted.push_back(&d); });
+    lib_.acquire_drive(DriveRequest{},
+                       [&](TapeDrive& d) { granted.push_back(&d); });
   }
   sim_.run();
   ASSERT_EQ(granted.size(), 2u);
@@ -39,29 +40,43 @@ TEST_F(LibraryTest, AcquireGrantsUpToDriveCount) {
 
 TEST_F(LibraryTest, ReleaseWithoutWaiterFreesDrive) {
   TapeDrive* d = nullptr;
-  lib_.acquire_drive([&](TapeDrive& g) { d = &g; });
+  lib_.acquire_drive(DriveRequest{}, [&](TapeDrive& g) { d = &g; });
   sim_.run();
   ASSERT_NE(d, nullptr);
   lib_.release_drive(*d);
   EXPECT_EQ(lib_.idle_drives(), 2u);
 }
 
-TEST_F(LibraryTest, OpenCartridgePerColocationGroup) {
-  Cartridge& a1 = lib_.open_cartridge_for("projA", 10 * kMB);
-  Cartridge& a2 = lib_.open_cartridge_for("projA", 10 * kMB);
-  Cartridge& b1 = lib_.open_cartridge_for("projB", 10 * kMB);
-  EXPECT_EQ(&a1, &a2);          // same open cartridge reused
+TEST_F(LibraryTest, CheckoutCartridgePerColocationGroup) {
+  Cartridge& a1 = lib_.checkout_cartridge("projA", 10 * kMB);
+  a1.append(1, 10 * kMB);
+  lib_.checkin_cartridge(a1);
+  Cartridge& a2 = lib_.checkout_cartridge("projA", 10 * kMB);
+  Cartridge& b1 = lib_.checkout_cartridge("projB", 10 * kMB);
+  EXPECT_EQ(&a1, &a2);          // the partially filled volume is reused
   EXPECT_NE(&a1, &b1);          // groups do not share cartridges
   EXPECT_EQ(a1.colocation_group(), "projA");
+  EXPECT_EQ(b1.colocation_group(), "projB");
   EXPECT_EQ(lib_.cartridge_count(), 2u);
+  // One writer per volume: a second projA writer gets fresh scratch.
+  Cartridge& a3 = lib_.checkout_cartridge("projA", 10 * kMB);
+  EXPECT_NE(&a3, &a1);
+  EXPECT_TRUE(lib_.is_checked_out(a1.id()));
+  EXPECT_EQ(lib_.cartridge_count(), 3u);
 }
 
-TEST_F(LibraryTest, OpenCartridgeRollsOverWhenFull) {
-  Cartridge& c1 = lib_.open_cartridge_for("g", 80 * kMB);
+TEST_F(LibraryTest, CheckoutCartridgeRollsOverWhenFull) {
+  Cartridge& c1 = lib_.checkout_cartridge("g", 80 * kMB);
   c1.append(1, 80 * kMB);
-  Cartridge& c2 = lib_.open_cartridge_for("g", 30 * kMB);  // 20 MB left
+  lib_.checkin_cartridge(c1);
+  Cartridge& c2 = lib_.checkout_cartridge("g", 30 * kMB);  // 20 MB left
   EXPECT_NE(&c1, &c2);
   EXPECT_EQ(lib_.cartridge_count(), 2u);
+  // A unit that still fits goes back to the oldest partial volume, unless
+  // the caller excludes it (reclamation never writes to its source).
+  lib_.checkin_cartridge(c2);
+  EXPECT_EQ(&lib_.checkout_cartridge("g", 20 * kMB, c2.id()), &c1);
+  EXPECT_EQ(&lib_.checkout_cartridge("g", 20 * kMB, c1.id()), &c2);
 }
 
 TEST_F(LibraryTest, EnsureMountedSwapsCartridges) {
