@@ -17,7 +17,11 @@
 // Direction: `higher` (default) means bigger is better — fail when fresh
 // drops more than TOL_PCT below baseline; `lower` means smaller is better;
 // `exact` ignores TOL_PCT and requires equality (for deterministic counts).
-// Exit codes: 0 ok, 1 regression, 2 usage or parse error.
+// Every named metric must appear in at least one keyed baseline record, so
+// a misspelled --metric= is an error rather than a gate that checks nothing.
+// Exit codes: 0 ok, 1 regression, 2 usage or parse error (including a
+// metric that matches no record).
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -215,6 +219,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  bool unmatched = false;
+  for (const MetricSpec& m : metrics) {
+    const bool found =
+        std::any_of(baseline.begin(), baseline.end(), [&](const Record& r) {
+          return r.raw.count(key) != 0 && r.raw.count(m.name) != 0;
+        });
+    if (!found) {
+      std::fprintf(stderr,
+                   "bench_regress: metric %s matches no %s-keyed record of %s\n",
+                   m.name.c_str(), key.c_str(), baseline_path.c_str());
+      unmatched = true;
+    }
+  }
+  if (unmatched) return 2;
+
   int regressions = 0;
   int checked = 0;
   for (const Record& base : baseline) {
@@ -273,11 +292,6 @@ int main(int argc, char** argv) {
                     fv->second.c_str());
       }
     }
-  }
-  if (checked == 0) {
-    std::fprintf(stderr,
-                 "bench_regress: no metrics matched (wrong --key/--metric?)\n");
-    return 2;
   }
   if (regressions > 0) {
     std::fprintf(stderr, "bench_regress: %d regression(s) vs %s\n",

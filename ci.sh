@@ -170,35 +170,35 @@ else
   "$REGRESS" --baseline="$BASELINES/BENCH_flow_churn.json" \
     --fresh=build-release/BENCH_flow_churn.json --key=flows \
     --metric=pools --metric=speedup:75:higher
-  # Fair-share latencies are virtual-time deterministic, but the ratio is
-  # the headline: only an isolation collapse should trip the gate.
+  # Every column below is virtual time or a count, deterministic in every
+  # build type, so every one is gated exactly: a moved virtual result must
+  # be re-pinned on purpose, never absorbed by a tolerance.
+  # Fair-share latencies and the interactive p99 isolation ratio.
   "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \
     --fresh=build-asan/BENCH_fairshare.json --key=mode \
     --metric=bulk_jobs --metric=interactive_jobs \
-    --metric=p99_ratio:40:higher
-  # Scrub verdict counts are virtual-time deterministic: exact equality.
+    --metric=p50_s --metric=p99_s --metric=makespan_s \
+    --metric=max_queue_wait_s --metric=p99_ratio
+  # Scrub verdict counts and the tape-ordered vs naive scan times.
   "$REGRESS" --baseline="$BASELINES/BENCH_scrub.json" \
     --fresh=build-asan/BENCH_scrub.json --key=scenario \
     --metric=injected --metric=detected --metric=repaired_from_copy \
     --metric=remigrated --metric=unrepairable --metric=rescrub_mismatches \
-    --metric=segments --metric=tape_ordered_mounts --metric=naive_mounts
-  # Recovery counts and virtual-time durations are deterministic; the
-  # replay counts are exact, and recovery time may only collapse (a
-  # checkpoint silently not installing would triple it) within 50%.  Log
-  # and checkpoint sizes are exact too: they pin the record codec, so any
-  # byte drift in the on-disk format fails here.
+    --metric=segments --metric=tape_ordered_mounts --metric=naive_mounts \
+    --metric=tape_ordered_seconds --metric=naive_seconds --metric=speedup
+  # Recovery replay counts and virtual recovery time.  Log and checkpoint
+  # sizes pin the record codec, so any byte drift in the on-disk format
+  # fails here.
   "$REGRESS" --baseline="$BASELINES/BENCH_recovery.json" \
     --fresh=build-asan/BENCH_recovery.json --key=scenario \
     --metric=mutations --metric=replayed \
-    --metric=log_bytes --metric=checkpoint_bytes \
-    --metric=recovery_ms:50:lower
-  # Batching results are virtual-time deterministic; the headline speedup
-  # may only collapse (batching silently falling back to stop-and-wait
-  # would drop it to 1x) within 20%.
+    --metric=log_bytes --metric=checkpoint_bytes --metric=recovery_ms
+  # Batched vs one-round-trip-per-mutation costs and their speedups.
   "$REGRESS" --baseline="$BASELINES/BENCH_md_batch.json" \
     --fresh=build-asan/BENCH_md_batch.json --key=case \
-    --metric=servers --metric=storm_speedup:20:higher \
-    --metric=delete_speedup:20:higher
+    --metric=servers --metric=storm_plain_s --metric=storm_batched_s \
+    --metric=delete_plain_s --metric=delete_batched_s \
+    --metric=storm_speedup --metric=delete_speedup
   # Self-test: a doctored baseline must trip the gate (exit non-zero).
   doctored=$(mktemp)
   sed -E 's/"speedup": [0-9.]+/"speedup": 99999.0/' \
@@ -210,7 +210,31 @@ else
     rm -f "$doctored"
     exit 1
   fi
+  # Self-test: an exact virtual column moved by 0.1 s must trip its gate.
+  python3 -c 'import json, sys
+rows = json.load(open(sys.argv[1]))
+for r in rows:
+    if "p99_s" in r:
+        r["p99_s"] = round(r["p99_s"] + 0.1, 1)
+print(json.dumps(rows))' "$BASELINES/BENCH_fairshare.json" > "$doctored"
+  rc=0
+  "$REGRESS" --baseline="$doctored" --fresh=build-asan/BENCH_fairshare.json \
+    --key=mode --metric=p99_s >/dev/null 2>&1 || rc=$?
   rm -f "$doctored"
+  if [[ $rc -ne 1 ]]; then
+    echo "ERROR: exact gate missed a doctored p99_s (exit $rc)" >&2
+    exit 1
+  fi
+  # Self-test: a misspelled metric next to valid ones is a usage error,
+  # not a gate that silently checks nothing.
+  rc=0
+  "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \
+    --fresh=build-asan/BENCH_fairshare.json --key=mode \
+    --metric=p99_s --metric=p99_sx >/dev/null 2>&1 || rc=$?
+  if [[ $rc -ne 2 ]]; then
+    echo "ERROR: misspelled --metric= did not exit 2 (exit $rc)" >&2
+    exit 1
+  fi
 fi
 
 echo "CI passed."

@@ -14,7 +14,18 @@ namespace cpa::hsm {
 // Job state
 // ---------------------------------------------------------------------------
 
-struct HsmSystem::MigrateJob {
+template <class Report>
+struct HsmSystem::Job : HsmSystem::AbortGuard {
+  Report report;
+  obs::SpanId span;
+  std::function<void(const Report&)> done;
+  /// Tenant/QoS the job's drive holds are charged to (empty: unmanaged).
+  tape::DriveRequest req;
+  /// Per-tenant bandwidth-shaper legs appended to every data flow.
+  std::vector<sim::PathLeg> shaper;
+};
+
+struct HsmSystem::MigrateJob : Job<MigrateReport> {
   struct Item {
     std::string path;
     std::uint64_t size = 0;
@@ -37,19 +48,8 @@ struct HsmSystem::MigrateJob {
   /// 0 = primary pool; 1..tape_copies-1 = copy-pool passes over the same
   /// units (run before files are punched, while data is still on disk).
   unsigned copy_phase = 0;
-  MigrateReport report;
-  obs::SpanId span;
   tape::TapeDrive* drive = nullptr;
   tape::Cartridge* cart = nullptr;
-  /// Set by power_fail: every continuation re-entry bails out, leaving
-  /// drive/cartridge bookkeeping to the library's own crash path.
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const MigrateReport&)> done;
-  /// Tenant/QoS the batch's drive holds are charged to (empty: unmanaged).
-  sched::WorkClass wc;
-  /// Per-tenant bandwidth-shaper legs appended to every data flow.
-  std::vector<sim::PathLeg> shaper;
 
   [[nodiscard]] std::string phase_group() const {
     return copy_phase == 0 ? group
@@ -57,7 +57,7 @@ struct HsmSystem::MigrateJob {
   }
 };
 
-struct HsmSystem::RecallJob {
+struct HsmSystem::RecallJob : Job<RecallReport> {
   struct Entry {
     std::string path;
     std::uint64_t size = 0;
@@ -75,13 +75,6 @@ struct HsmSystem::RecallJob {
   std::vector<CartWork> work;
   std::size_t next_work = 0;   // next cartridge job to launch
   unsigned active = 0;
-  RecallReport report;
-  obs::SpanId span;
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const RecallReport&)> done;
-  /// Per-tenant bandwidth-shaper legs appended to every data flow.
-  std::vector<sim::PathLeg> shaper;
 };
 
 // ---------------------------------------------------------------------------
@@ -110,13 +103,15 @@ HsmSystem::HsmSystem(sim::Simulation& sim, sim::FlowNetwork& net,
 
 HsmSystem::~HsmSystem() { fs_.set_dmapi_listener(nullptr); }
 
-std::uint64_t HsmSystem::register_abort(std::function<void()> fn) {
-  const std::uint64_t id = next_abort_id_++;
-  live_aborts_.emplace(id, std::move(fn));
-  return id;
+void HsmSystem::arm_abort(std::shared_ptr<AbortGuard> guard,
+                          std::function<void()> on_abort) {
+  guard->abort_id = next_abort_id_++;
+  live_aborts_.emplace(guard->abort_id,
+                       [guard, on_abort = std::move(on_abort)] {
+                         guard->dead = true;
+                         on_abort();
+                       });
 }
-
-void HsmSystem::unregister_abort(std::uint64_t id) { live_aborts_.erase(id); }
 
 void HsmSystem::power_fail() {
   // Abort first, wipe second: abort closures read their partial reports
@@ -442,6 +437,55 @@ void HsmSystem::mount_traced(tape::TapeDrive& drive, tape::Cartridge& cart,
 }
 
 // ---------------------------------------------------------------------------
+// Job lifecycle (migrate, recall, reclaim, scrub)
+// ---------------------------------------------------------------------------
+
+template <class J>
+void HsmSystem::open_job(const std::shared_ptr<J>& job, obs::Component comp,
+                         const char* lane, const char* name,
+                         tape::DriveRequest req, bool shaped) {
+  job->req = std::move(req);
+  if (shaped && sched_ != nullptr && !job->req.tenant.empty()) {
+    job->shaper = sched_->shaper_legs(job->req.tenant);
+  }
+  job->report.started = sim_.now();
+  job->span = obs_->trace().begin_lane(comp, lane, name, sim_.now());
+  arm_abort(job, [this, job] {
+    job->report.finished = sim_.now();
+    account(*job);
+    if (job->done) job->done(job->report);
+  });
+}
+
+template <class J>
+void HsmSystem::close_job(const std::shared_ptr<J>& job, Delivery when) {
+  disarm_abort(*job);
+  job->report.finished = sim_.now();
+  account(*job);
+  if (!job->done) return;
+  if (when == Delivery::Now) {
+    job->done(job->report);
+    return;
+  }
+  sim_.after(0, [done = std::move(job->done), report = job->report] {
+    done(report);
+  });
+}
+
+template <class J>
+void HsmSystem::acquire_traced(const std::shared_ptr<J>& job,
+                               std::function<void(tape::TapeDrive&)> k) {
+  if (job->dead) return;
+  const sim::Tick t_req = sim_.now();
+  lib_.acquire_drive(job->req, [this, job, t_req, k = std::move(k)](
+                                   tape::TapeDrive& drive) {
+    if (job->dead) return;
+    trace_wait(obs::Component::Tape, "drive_wait", job->span, t_req);
+    k(drive);
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Migration
 // ---------------------------------------------------------------------------
 
@@ -453,21 +497,10 @@ void HsmSystem::migrate_batch(tape::NodeId node, std::vector<std::string> paths,
   job->node = node;
   job->group = std::move(group);
   job->done = std::move(done);
-  job->wc = std::move(wc);
-  if (sched_ != nullptr && !job->wc.tenant.empty()) {
-    job->shaper = sched_->shaper_legs(job->wc.tenant);
-  }
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Hsm, "migrate",
-                                       "migrate_batch", sim_.now());
+  open_job(job, obs::Component::Hsm, "migrate", "migrate_batch",
+           tape::DriveRequest{std::move(wc.tenant), wc.qos}, true);
   obs_->trace().arg_num(job->span, "paths",
                         static_cast<std::uint64_t>(paths.size()));
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_migrate(*job);
-    if (job->done) job->done(job->report);
-  });
 
   for (const std::string& path : paths) {
     const auto st = fs_.stat(path);
@@ -513,23 +546,15 @@ void HsmSystem::migrate_batch(tape::NodeId node, std::vector<std::string> paths,
 
   if (job->units.empty()) {
     sim_.after(0, [this, job] {
-      if (job->dead) return;
-      unregister_abort(job->abort_id);
-      job->report.finished = job->report.started;
-      account_migrate(*job);
-      if (job->done) job->done(job->report);
+      if (!job->dead) close_job(job, Delivery::Now);
     });
     return;
   }
 
-  const sim::Tick t_req = sim_.now();
-  lib_.acquire_drive(tape::DriveRequest{job->wc.tenant, job->wc.qos},
-                     [this, job, t_req](tape::TapeDrive& drive) {
-                       trace_wait(obs::Component::Tape, "drive_wait", job->span,
-                                  t_req);
-                       job->drive = &drive;
-                       run_migrate_unit(job);
-                     });
+  acquire_traced(job, [this, job](tape::TapeDrive& drive) {
+    job->drive = &drive;
+    run_migrate_unit(job);
+  });
 }
 
 void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
@@ -658,18 +683,11 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
             const sim::Tick delay = cfg_.retry.delay(job->unit_attempts);
             trace_backoff(job->span, delay);
             sim_.after(delay, [this, job] {
-              if (job->dead) return;
-              const sim::Tick t_req = sim_.now();
-              lib_.acquire_drive(
-                  tape::DriveRequest{job->wc.tenant, job->wc.qos},
-                  [this, job, t_req](tape::TapeDrive& drive) {
-                    if (job->dead) return;
-                    trace_wait(obs::Component::Tape, "drive_wait", job->span,
-                               t_req);
-                    job->drive = &drive;
-                    mount_traced(drive, *job->cart, job->span,
-                                 [this, job] { run_migrate_unit(job); });
-                  });
+              acquire_traced(job, [this, job](tape::TapeDrive& drive) {
+                job->drive = &drive;
+                mount_traced(drive, *job->cart, job->span,
+                             [this, job] { run_migrate_unit(job); });
+              });
             });
             return;
           }
@@ -862,7 +880,6 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
 
 void HsmSystem::finish_migrate(std::shared_ptr<MigrateJob> job) {
   if (job->dead) return;
-  unregister_abort(job->abort_id);
   if (job->cart != nullptr) {
     lib_.checkin_cartridge(*job->cart);
     job->cart = nullptr;
@@ -873,12 +890,10 @@ void HsmSystem::finish_migrate(std::shared_ptr<MigrateJob> job) {
     lib_.release_drive(*job->drive);
     job->drive = nullptr;
   }
-  job->report.finished = sim_.now();
-  account_migrate(*job);
-  if (job->done) job->done(job->report);
+  close_job(job, Delivery::Now);
 }
 
-void HsmSystem::account_migrate(const MigrateJob& job) {
+void HsmSystem::account(const MigrateJob& job) {
   obs::MetricsRegistry& m = obs_->metrics();
   m.counter("hsm.migrate_batches").inc();
   m.counter("hsm.migrated_files").add(job.report.files_migrated);
@@ -930,17 +945,20 @@ void HsmSystem::parallel_migrate(std::vector<std::string> paths,
     if (bins[b].empty()) continue;
     ++combined->outstanding;
   }
+  // The combined report is no job (no span, abort or accounting of its
+  // own): it finishes when its last batch does.
+  auto deliver = [this, combined] {
+    combined->report.finished = sim_.now();
+    if (combined->done) combined->done(combined->report);
+  };
   if (combined->outstanding == 0) {
-    sim_.after(0, [combined] {
-      combined->report.finished = combined->report.started;
-      if (combined->done) combined->done(combined->report);
-    });
+    sim_.after(0, deliver);
     return;
   }
   for (std::size_t b = 0; b < bins.size(); ++b) {
     if (bins[b].empty()) continue;
     migrate_batch(nodes[b], std::move(bins[b]), group,
-                  [this, combined](const MigrateReport& r) {
+                  [combined, deliver](const MigrateReport& r) {
                     combined->report.files_migrated += r.files_migrated;
                     combined->report.files_failed += r.files_failed;
                     combined->report.bytes += r.bytes;
@@ -949,10 +967,7 @@ void HsmSystem::parallel_migrate(std::vector<std::string> paths,
                     combined->report.checksums_computed += r.checksums_computed;
                     combined->report.retries += r.retries;
                     combined->report.units_requeued += r.units_requeued;
-                    if (--combined->outstanding == 0) {
-                      combined->report.finished = sim_.now();
-                      if (combined->done) combined->done(combined->report);
-                    }
+                    if (--combined->outstanding == 0) deliver();
                   },
                   wc);
   }
@@ -968,23 +983,13 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
   auto job = std::make_shared<RecallJob>();
   job->options = options;
   job->done = std::move(done);
-  if (sched_ != nullptr && !options.tenant.empty()) {
-    job->shaper = sched_->shaper_legs(options.tenant);
-  }
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Hsm, "recall", "recall",
-                                       sim_.now());
+  open_job(job, obs::Component::Hsm, "recall", "recall",
+           tape::DriveRequest{options.tenant, options.qos}, true);
   // Cross the pftool→HSM boundary: the recall batch hangs off the caller's
   // job span so the profiler can attribute tape time to that job.
   obs_->trace().link(options.parent_span, job->span);
   obs_->trace().arg_num(job->span, "paths",
                         static_cast<std::uint64_t>(paths.size()));
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_recall(*job);
-    if (job->done) job->done(job->report);
-  });
 
   // Resolve every path through the indexed export (Sec 4.2.5).
   struct Resolved {
@@ -1069,11 +1074,7 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
 
   if (job->work.empty()) {
     sim_.after(0, [this, job] {
-      if (job->dead) return;
-      unregister_abort(job->abort_id);
-      job->report.finished = job->report.started;
-      account_recall(*job);
-      if (job->done) job->done(job->report);
+      if (!job->dead) close_job(job, Delivery::Now);
     });
     return;
   }
@@ -1091,18 +1092,13 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
 
 void HsmSystem::run_recall_cart(std::shared_ptr<RecallJob> job,
                                 std::size_t work_idx, std::size_t entry_idx) {
-  if (job->dead) return;
-  const sim::Tick t_req = sim_.now();
-  lib_.acquire_drive(
-      tape::DriveRequest{job->options.tenant, job->options.qos},
-      [this, job, work_idx, entry_idx, t_req](tape::TapeDrive& drive) {
-        if (job->dead) return;
-        trace_wait(obs::Component::Tape, "drive_wait", job->span, t_req);
-        mount_traced(drive, *job->work[work_idx].cart, job->span,
-                     [this, job, work_idx, entry_idx, &drive] {
-                       run_recall_entry(job, work_idx, entry_idx, drive);
-                     });
-      });
+  acquire_traced(job, [this, job, work_idx,
+                       entry_idx](tape::TapeDrive& drive) {
+    mount_traced(drive, *job->work[work_idx].cart, job->span,
+                 [this, job, work_idx, entry_idx, &drive] {
+                   run_recall_entry(job, work_idx, entry_idx, drive);
+                 });
+  });
 }
 
 void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
@@ -1117,12 +1113,7 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
       run_recall_cart(job, next, 0);
       return;
     }
-    if (--job->active == 0) {
-      unregister_abort(job->abort_id);
-      job->report.finished = sim_.now();
-      account_recall(*job);
-      if (job->done) job->done(job->report);
-    }
+    if (--job->active == 0) close_job(job, Delivery::Now);
     return;
   }
   const auto& entry = work.entries[entry_idx];
@@ -1277,7 +1268,7 @@ void HsmSystem::recall_fallback(std::shared_ptr<RecallJob> job,
   });
 }
 
-void HsmSystem::account_recall(const RecallJob& job) {
+void HsmSystem::account(const RecallJob& job) {
   obs::MetricsRegistry& m = obs_->metrics();
   m.counter("hsm.recalls").inc();
   m.counter("hsm.recalled_files").add(job.report.files_recalled);
@@ -1369,19 +1360,12 @@ void HsmSystem::synchronous_delete(const std::string& path,
   ArchiveServer& server = server_for(path);
   // The round-trips can die with the server on a power failure; the abort
   // registry guarantees the caller still hears back (Stale: retry later).
-  struct DeleteState {
-    bool dead = false;
-    std::uint64_t abort_id = 0;
-  };
-  auto ds = std::make_shared<DeleteState>();
+  auto ds = std::make_shared<AbortGuard>();
   auto finish = [this, ds, done](pfs::Errc e) {
-    unregister_abort(ds->abort_id);
+    disarm_abort(*ds);
     done(e);
   };
-  ds->abort_id = register_abort([ds, done] {
-    ds->dead = true;
-    done(pfs::Errc::Stale);
-  });
+  arm_abort(ds, [done] { done(pfs::Errc::Stale); });
   // Two-leg delete: the fid->object join through the indexed export rides
   // one round-trip, the cascade another.  `applied` already sits behind
   // the session's group-commit barrier, so the Ok ack is durable — a crash
@@ -1498,14 +1482,10 @@ void HsmSystem::space_management(
   report.used_fraction_before =
       static_cast<double>(pool_info.value().used_bytes) / capacity;
 
-  struct SmState {
-    bool dead = false;
-    std::uint64_t abort_id = 0;
-  };
-  auto ss = std::make_shared<SmState>();
+  auto ss = std::make_shared<AbortGuard>();
   auto tail = [this, pool, capacity, done, ss](SpaceManagementReport report,
                                                std::uint64_t inodes) {
-    unregister_abort(ss->abort_id);
+    disarm_abort(*ss);
     report.used_fraction_after =
         static_cast<double>(fs_.pool(pool).value().used_bytes) / capacity;
     report.duration = fs_.scan_duration(inodes, 1);
@@ -1524,10 +1504,7 @@ void HsmSystem::space_management(
       if (done) done(report);
     });
   };
-  ss->abort_id = register_abort([ss, done, report] {
-    ss->dead = true;
-    if (done) done(report);
-  });
+  arm_abort(ss, [done, report] { if (done) done(report); });
 
   // The walk visits every inode: charge a full scan.
   const std::uint64_t inodes = fs_.total_inodes();
@@ -1582,7 +1559,7 @@ void HsmSystem::space_management(
 // Space reclamation
 // ---------------------------------------------------------------------------
 
-struct HsmSystem::ReclaimJob {
+struct HsmSystem::ReclaimJob : Job<ReclaimReport> {
   tape::NodeId node = 0;
   std::vector<tape::CartridgeId> victims;
   std::size_t next_victim = 0;
@@ -1592,11 +1569,6 @@ struct HsmSystem::ReclaimJob {
   std::vector<tape::Segment> live;  // snapshot of live segments, seq order
   tape::TapeDrive* src_drive = nullptr;
   tape::TapeDrive* dst_drive = nullptr;
-  ReclaimReport report;
-  obs::SpanId span;
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const ReclaimReport&)> done;
 };
 
 void HsmSystem::reclaim_volumes(double dead_fraction, tape::NodeId node,
@@ -1604,15 +1576,10 @@ void HsmSystem::reclaim_volumes(double dead_fraction, tape::NodeId node,
   auto job = std::make_shared<ReclaimJob>();
   job->node = node;
   job->done = std::move(done);
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Hsm, "reclaim",
-                                       "reclaim", sim_.now());
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_reclaim(*job);
-    if (job->done) job->done(job->report);
-  });
+  // Reclaim is background plant maintenance: Maintenance QoS lets any
+  // tenant's foreground work jump its drive requests.
+  open_job(job, obs::Component::Hsm, "reclaim", "reclaim",
+           tape::DriveRequest{"", sched::QosClass::Maintenance}, false);
   lib_.for_each_cartridge([&](tape::Cartridge& cart) {
     ++job->report.volumes_examined;
     if (cart.bytes_used() == 0 || lib_.is_checked_out(cart.id())) return;
@@ -1637,15 +1604,7 @@ void HsmSystem::run_reclaim_volume(std::shared_ptr<ReclaimJob> job) {
     job->dst_drive = nullptr;
   }
   if (job->next_victim >= job->victims.size()) {
-    unregister_abort(job->abort_id);
-    job->report.finished = sim_.now();
-    account_reclaim(*job);
-    if (job->done) {
-      auto done = std::move(job->done);
-      sim_.after(0, [done = std::move(done), report = job->report] {
-        done(report);
-      });
-    }
+    close_job(job, Delivery::Deferred);
     return;
   }
   job->src = lib_.cartridge(job->victims[job->next_victim++]);
@@ -1663,14 +1622,11 @@ void HsmSystem::run_reclaim_volume(std::shared_ptr<ReclaimJob> job) {
   }
   job->dst = &lib_.checkout_cartridge(job->src->colocation_group(), live_bytes,
                                       job->src->id());
-  // Two drives: source and destination, mounted once per victim.  Reclaim
-  // is background plant maintenance — Maintenance QoS lets any tenant's
-  // foreground work jump its drive requests.
-  const tape::DriveRequest maint{"", sched::QosClass::Maintenance};
-  lib_.acquire_drive(maint, [this, job, maint](tape::TapeDrive& src_drive) {
+  // Two drives: source and destination, mounted once per victim.
+  lib_.acquire_drive(job->req, [this, job](tape::TapeDrive& src_drive) {
     if (job->dead) return;
     job->src_drive = &src_drive;
-    lib_.acquire_drive(maint, [this, job](tape::TapeDrive& dst_drive) {
+    lib_.acquire_drive(job->req, [this, job](tape::TapeDrive& dst_drive) {
       if (job->dead) return;
       job->dst_drive = &dst_drive;
       lib_.ensure_mounted(*job->src_drive, *job->src, [this, job] {
@@ -1751,7 +1707,7 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
       });
 }
 
-void HsmSystem::account_reclaim(const ReclaimJob& job) {
+void HsmSystem::account(const ReclaimJob& job) {
   obs::MetricsRegistry& m = obs_->metrics();
   m.counter("hsm.reclaim_runs").inc();
   m.counter("hsm.reclaimed_volumes").add(job.report.volumes_reclaimed);
@@ -1766,17 +1722,12 @@ void HsmSystem::account_reclaim(const ReclaimJob& job) {
 // Scrubbing
 // ---------------------------------------------------------------------------
 
-struct HsmSystem::ScrubJob {
+struct HsmSystem::ScrubJob : Job<integrity::ScrubReport> {
   integrity::ScrubConfig cfg;
   std::vector<integrity::FixityRow> rows;  // snapshot, in visit order
   std::size_t next = 0;
   tape::TapeDrive* drive = nullptr;
   std::uint64_t last_cart = 0;
-  integrity::ScrubReport report;
-  obs::SpanId span;
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const integrity::ScrubReport&)> done;
 };
 
 void HsmSystem::scrub(integrity::ScrubConfig scfg,
@@ -1785,17 +1736,11 @@ void HsmSystem::scrub(integrity::ScrubConfig scfg,
   job->cfg = scfg;
   job->rows = integrity::plan_scrub_order(fixity_, scfg.tape_ordered);
   job->done = std::move(done);
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Integrity, "scrub",
-                                       "scrub", sim_.now());
+  open_job(job, obs::Component::Integrity, "scrub", "scrub",
+           tape::DriveRequest{scfg.tenant, sched::QosClass::Maintenance},
+           false);
   obs_->trace().arg_num(job->span, "rows",
                         static_cast<std::uint64_t>(job->rows.size()));
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_scrub(*job);
-    if (job->done) job->done(job->report);
-  });
   if (job->rows.empty()) {
     sim_.after(0, [this, job] { finish_scrub(job); });
     return;
@@ -1805,13 +1750,11 @@ void HsmSystem::scrub(integrity::ScrubConfig scfg,
 }
 
 void HsmSystem::acquire_scrub_drive(std::shared_ptr<ScrubJob> job) {
-  lib_.acquire_drive(
-      tape::DriveRequest{job->cfg.tenant, sched::QosClass::Maintenance},
-      [this, job](tape::TapeDrive& drive) {
-        if (job->dead) return;
-        job->drive = &drive;
-        run_scrub_row(job);
-      });
+  lib_.acquire_drive(job->req, [this, job](tape::TapeDrive& drive) {
+    if (job->dead) return;
+    job->drive = &drive;
+    run_scrub_row(job);
+  });
 }
 
 void HsmSystem::run_scrub_row(std::shared_ptr<ScrubJob> job) {
@@ -2048,22 +1991,15 @@ void HsmSystem::finish_scrub(std::shared_ptr<ScrubJob> job) {
   // join on them before the report is sealed.
   drain_sessions([this, job] {
     if (job->dead) return;
-    unregister_abort(job->abort_id);
     if (job->drive != nullptr) {
       lib_.release_drive(*job->drive);
       job->drive = nullptr;
     }
-    job->report.finished = sim_.now();
-    account_scrub(*job);
-    if (job->done) {
-      auto done = std::move(job->done);
-      sim_.after(
-          0, [done = std::move(done), report = job->report] { done(report); });
-    }
+    close_job(job, Delivery::Deferred);
   });
 }
 
-void HsmSystem::account_scrub(const ScrubJob& job) {
+void HsmSystem::account(const ScrubJob& job) {
   // All scrub counters live under the integrity.* namespace, matching the
   // Component::Integrity tag on the scrub span.
   obs::MetricsRegistry& m = obs_->metrics();

@@ -357,6 +357,17 @@ class HsmSystem : public pfs::DmapiListener {
   void set_scheduler(sched::AdmissionScheduler* sched) { sched_ = sched; }
 
  private:
+  /// What power_fail() needs of every live operation: its abort-registry
+  /// slot, and the `dead` flag every continuation re-entry checks and bails
+  /// out on (drive/cartridge bookkeeping is the library's own crash path).
+  struct AbortGuard {
+    bool dead = false;
+    std::uint64_t abort_id = 0;
+  };
+  /// A tape job's lifecycle state (report, lane span, `done`, drive
+  /// request, shaper legs), shared by the four jobs below.
+  template <class Report>
+  struct Job;
   struct MigrateJob;
   struct RecallJob;
   struct ReclaimJob;
@@ -371,12 +382,33 @@ class HsmSystem : public pfs::DmapiListener {
     }
   }
 
-  /// Live-operation registry: every public entry point registers an abort
-  /// closure; power_fail() fires them all.  Closures mark the job dead
-  /// (every continuation re-entry checks the flag) and deliver the
-  /// partial report so callers never hang on a crashed operation.
-  std::uint64_t register_abort(std::function<void()> fn);
-  void unregister_abort(std::uint64_t id);
+  /// Live-operation registry: every public entry point arms a guard;
+  /// power_fail() marks each armed guard dead and runs its `on_abort`,
+  /// which delivers the partial result so no caller hangs on a crash.
+  void arm_abort(std::shared_ptr<AbortGuard> guard,
+                 std::function<void()> on_abort);
+  void disarm_abort(const AbortGuard& guard) {
+    live_aborts_.erase(guard.abort_id);
+  }
+
+  /// Opens a tape job: takes `req` as its drive request (and the tenant's
+  /// shaper legs when `shaped`), stamps `started`, opens the lane span and
+  /// arms an abort that stamps `finished`, accounts and delivers `done`.
+  template <class J>
+  void open_job(const std::shared_ptr<J>& job, obs::Component comp,
+                const char* lane, const char* name, tape::DriveRequest req,
+                bool shaped);
+  /// When close_job calls `done`: in the closing event, or from a fresh
+  /// after(0) event (`done` is moved out of the job first).
+  enum class Delivery { Now, Deferred };
+  /// Disarms the job's abort, stamps `finished`, accounts, delivers `done`.
+  template <class J>
+  void close_job(const std::shared_ptr<J>& job, Delivery when);
+  /// Takes a drive on the job's request, records the drive_wait span
+  /// under the job span, then runs `k`.  Nothing runs once the job is dead.
+  template <class J>
+  void acquire_traced(const std::shared_ptr<J>& job,
+                      std::function<void(tape::TapeDrive&)> k);
 
   /// Fires `k` once every op submitted to any metadata session so far has
   /// applied (and, with a WAL, become durable).  Passthrough when no
@@ -409,10 +441,10 @@ class HsmSystem : public pfs::DmapiListener {
   /// Folds a finished job's report into the hsm.* counters and closes its
   /// span.  Accounting happens per batch/job, so registry totals match the
   /// (combined) reports exactly.
-  void account_migrate(const MigrateJob& job);
-  void account_recall(const RecallJob& job);
-  void account_reclaim(const ReclaimJob& job);
-  void account_scrub(const ScrubJob& job);
+  void account(const MigrateJob& job);
+  void account(const RecallJob& job);
+  void account(const ReclaimJob& job);
+  void account(const ScrubJob& job);
 
   /// Records a retroactive wait span [since, now) linked under `parent` —
   /// used for drive-queue, mount and metadata-transaction waits.  No event
