@@ -236,11 +236,8 @@ void print_mode(const char* name, const RunResult& r) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_fairshare.json";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+    if (std::string(argv[i]) == "--smoke") smoke = true;
   }
   const Workload w = smoke ? Workload::smoke() : Workload{};
 
@@ -305,39 +302,31 @@ int main(int argc, char** argv) {
                        "bucket stayed empty under a storm");
   }
 
-  std::string json = "[\n";
-  char row[256];
-  std::snprintf(row, sizeof(row),
-                "  {\"mode\": \"fifo\", \"bulk_jobs\": %u, "
-                "\"interactive_jobs\": %u, \"p50_s\": %.1f, \"p99_s\": %.1f, "
-                "\"makespan_s\": %.1f},\n",
-                w.bulk_jobs, w.interactive_jobs,
-                percentile(fifo.interactive_lat, 0.50), p99_fifo,
-                fifo.makespan_s);
-  json += row;
-  std::snprintf(row, sizeof(row),
-                "  {\"mode\": \"sched\", \"bulk_jobs\": %u, "
-                "\"interactive_jobs\": %u, \"p50_s\": %.1f, \"p99_s\": %.1f, "
-                "\"makespan_s\": %.1f, \"max_queue_wait_s\": %.1f},\n",
-                w.bulk_jobs, w.interactive_jobs,
-                percentile(fair.interactive_lat, 0.50), p99_fair,
-                fair.makespan_s, fair.max_queue_wait_s);
-  json += row;
-  std::snprintf(row, sizeof(row),
-                "  {\"mode\": \"summary\", \"p99_ratio\": %.2f, "
-                "\"drive_queue_jumps\": %" PRIu64 "}\n",
-                ratio, fair.drive_queue_jumps);
-  json += row;
-  json += "]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_fairshare: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  // Every column is a job count or a virtual-time latency.
+  bench::JsonTable table(
+      "fairshare", "mode",
+      {{"bulk_jobs", bench::Clock::Virtual, "%.0f"},
+       {"interactive_jobs", bench::Clock::Virtual, "%.0f"},
+       {"p50_s", bench::Clock::Virtual, "%.1f"},
+       {"p99_s", bench::Clock::Virtual, "%.1f"},
+       {"makespan_s", bench::Clock::Virtual, "%.1f"},
+       {"max_queue_wait_s", bench::Clock::Virtual, "%.1f"},
+       {"p99_ratio", bench::Clock::Virtual, "%.2f"},
+       {"drive_queue_jumps", bench::Clock::Virtual, "%.0f"}});
+  table.row("fifo", {{"bulk_jobs", w.bulk_jobs},
+                     {"interactive_jobs", w.interactive_jobs},
+                     {"p50_s", percentile(fifo.interactive_lat, 0.50)},
+                     {"p99_s", p99_fifo},
+                     {"makespan_s", fifo.makespan_s}});
+  table.row("sched", {{"bulk_jobs", w.bulk_jobs},
+                      {"interactive_jobs", w.interactive_jobs},
+                      {"p50_s", percentile(fair.interactive_lat, 0.50)},
+                      {"p99_s", p99_fair},
+                      {"makespan_s", fair.makespan_s},
+                      {"max_queue_wait_s", fair.max_queue_wait_s}});
+  table.row("summary", {{"p99_ratio", ratio},
+                        {"drive_queue_jumps", fair.drive_queue_jumps}});
+  if (!table.write(argc, argv)) return 1;
 
   bench::section("paper vs measured");
   bench::compare("shared-facility interference", "minutes-long stalls",

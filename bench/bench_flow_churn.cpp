@@ -134,11 +134,8 @@ ChurnResult run_mode(std::size_t flows, std::uint64_t seed, std::size_t ops,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_flow_churn.json";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+    if (std::string(argv[i]) == "--smoke") smoke = true;
   }
   const bench::ObsCli cli = bench::parse_obs_cli(argc, argv);
   const std::uint64_t seed = cli.seed_set ? cli.seed : 42;
@@ -153,7 +150,12 @@ int main(int argc, char** argv) {
 
   bool diverged = false;
   double speedup_at_1000 = 0.0;
-  std::string json = "[\n";
+  // The absolute ops/s depend on the machine and stay in the printed
+  // table; their ratio is gated only against a collapse (for example the
+  // incremental scheduler silently reverting to full recompute).
+  bench::JsonTable table("flow_churn", "flows",
+                         {{"pools", bench::Clock::Virtual, "%.0f"},
+                          {"speedup", bench::Clock::Host, "%.2f"}});
   for (const std::size_t flows : sizes) {
     // The full mode is O(F^2) per op; scale its op count down so the
     // largest points stay sub-minute while the rate estimate stays sound.
@@ -168,26 +170,10 @@ int main(int argc, char** argv) {
     std::printf("  %6zu %6zu | %12zu %12.0f | %12zu %12.0f | %7.1fx\n",
                 inc.flows, inc.pools, inc.ops, inc.ops_per_sec, full.ops,
                 full.ops_per_sec, speedup);
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "  {\"flows\": %zu, \"pools\": %zu, "
-                  "\"incremental_ops_per_sec\": %.1f, "
-                  "\"full_ops_per_sec\": %.1f, \"speedup\": %.2f}%s\n",
-                  inc.flows, inc.pools, inc.ops_per_sec, full.ops_per_sec,
-                  speedup, flows == sizes.back() ? "" : ",");
-    json += row;
+    table.row(std::to_string(flows),
+              {{"pools", inc.pools}, {"speedup", speedup}});
   }
-  json += "]\n";
-
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_flow_churn: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  if (!table.write(argc, argv)) return 1;
 
   bench::section("summary");
   bench::compare("churn speedup at F=1000, sparse overlap", ">= 5x",

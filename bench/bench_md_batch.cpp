@@ -100,11 +100,8 @@ double sync_delete_seconds(unsigned servers, unsigned files, bool batched) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_md_batch.json";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+    if (std::string(argv[i]) == "--smoke") smoke = true;
   }
   const unsigned kTxns = smoke ? 4'000 : 20'000;
   const unsigned kFiles = smoke ? 500 : 2'000;
@@ -121,13 +118,20 @@ int main(int argc, char** argv) {
       "  --------+---------------+-------------------+---------+"
       "----------------+--------------------+--------\n");
 
-  std::string json = "[\n";
+  // Every column is a server count or a virtual time or ratio of them.
+  bench::JsonTable table("md_batch", "case",
+                         {{"servers", bench::Clock::Virtual, "%.0f"},
+                          {"storm_plain_s", bench::Clock::Virtual, "%.3f"},
+                          {"storm_batched_s", bench::Clock::Virtual, "%.3f"},
+                          {"storm_speedup", bench::Clock::Virtual, "%.3f"},
+                          {"delete_plain_s", bench::Clock::Virtual, "%.3f"},
+                          {"delete_batched_s", bench::Clock::Virtual, "%.3f"},
+                          {"delete_speedup", bench::Clock::Virtual, "%.3f"}});
   double storm_speedup1 = 0;
   sim::Tick storm_plain1 = 0;
   double storm_plain8 = 0;
   double del_plain1 = 0;
   double del_plain8 = 0;
-  bool first = true;
   for (const unsigned servers : {1u, 2u, 4u, 8u}) {
     const sim::Tick storm_plain_ticks = txn_storm(servers, kTxns, false);
     const double storm_plain = sim::to_seconds(storm_plain_ticks);
@@ -149,24 +153,16 @@ int main(int argc, char** argv) {
         "  %7u | %13.1f | %17.1f | %6.1fx | %14.1f | %18.1f | %5.1fx\n",
         servers, storm_plain, storm_batch, storm_speedup, del_plain,
         del_batch, del_speedup);
-    char row[512];
-    std::snprintf(row, sizeof(row),
-                  "%s  {\"case\": \"s%u\", \"servers\": %u, "
-                  "\"storm_plain_s\": %.3f, \"storm_batched_s\": %.3f, "
-                  "\"storm_speedup\": %.3f, \"delete_plain_s\": %.3f, "
-                  "\"delete_batched_s\": %.3f, \"delete_speedup\": %.3f}",
-                  first ? "" : ",\n", servers, servers, storm_plain,
-                  storm_batch, storm_speedup, del_plain, del_batch,
-                  del_speedup);
-    json += row;
-    first = false;
+    table.row("s" + std::to_string(servers),
+              {{"servers", servers},
+               {"storm_plain_s", storm_plain},
+               {"storm_batched_s", storm_batch},
+               {"storm_speedup", storm_speedup},
+               {"delete_plain_s", del_plain},
+               {"delete_batched_s", del_batch},
+               {"delete_speedup", del_speedup}});
   }
-  json += "\n]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  }
+  if (!table.write(argc, argv)) return 1;
 
   const double storm1_s = sim::to_seconds(storm_plain1);
   bench::section("paper vs measured");

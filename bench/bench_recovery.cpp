@@ -134,11 +134,8 @@ CellResult run_cell(std::uint64_t mutations, std::uint64_t checkpoint_bytes,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_recovery.json";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+    if (std::string(argv[i]) == "--smoke") smoke = true;
   }
   const bench::ObsCli cli = bench::parse_obs_cli(argc, argv);
   const std::uint64_t seed = cli.seed_set ? cli.seed : 7;
@@ -177,30 +174,22 @@ int main(int argc, char** argv) {
                        bench::fmt("%.2f", big_plain.recovery_ms) + " ms)");
   }
 
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    char row[320];
-    std::snprintf(row, sizeof(row),
-                  "  {\"scenario\": \"%s\", \"mutations\": %" PRIu64
-                  ", \"replayed\": %" PRIu64 ", \"log_bytes\": %" PRIu64
-                  ", \"checkpoint_bytes\": %" PRIu64
-                  ", \"recovery_ms\": %.3f}%s\n",
-                  c.name.c_str(), c.mutations, c.replayed, c.log_bytes,
-                  c.checkpoint_bytes, c.recovery_ms,
-                  i + 1 < cells.size() ? "," : "");
-    json += row;
+  // Replay counts, on-disk sizes (they pin the record codec, so any byte
+  // drift in the format shows) and the virtual recovery time.
+  bench::JsonTable table("recovery", "scenario",
+                         {{"mutations", bench::Clock::Virtual, "%.0f"},
+                          {"replayed", bench::Clock::Virtual, "%.0f"},
+                          {"log_bytes", bench::Clock::Virtual, "%.0f"},
+                          {"checkpoint_bytes", bench::Clock::Virtual, "%.0f"},
+                          {"recovery_ms", bench::Clock::Virtual, "%.3f"}});
+  for (const CellResult& c : cells) {
+    table.row(c.name, {{"mutations", c.mutations},
+                       {"replayed", c.replayed},
+                       {"log_bytes", c.log_bytes},
+                       {"checkpoint_bytes", c.checkpoint_bytes},
+                       {"recovery_ms", c.recovery_ms}});
   }
-  json += "]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_recovery: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  if (!table.write(argc, argv)) return 1;
 
   bench::section("paper vs measured");
   bench::compare("checkpointed recovery bound", "flat in history length",

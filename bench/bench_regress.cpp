@@ -1,29 +1,24 @@
 // bench_regress: the CI perf-regression gate.
 //
-// Diffs a freshly produced BENCH_*.json against a checked-in baseline and
-// fails (exit 1) when a named headline metric regressed beyond its
-// tolerance — the ROADMAP "as fast as the hardware allows" goal needs
-// perf wins (e.g. PR 3's incremental scheduler) to stay won.  Both files
-// are the flat JSON the benches emit: an array of objects whose values
-// are numbers or strings.  Records are matched by a key field present in
-// both files (e.g. "flows" for BENCH_flow_churn.json, "scenario" for
-// BENCH_scrub.json); baseline records missing from the fresh run are a
-// failure too (a silently dropped point is a regression in coverage).
+// Diffs a freshly produced BENCH_*.json against a checked-in baseline.
+// Both files are what bench::JsonTable (bench/common.hpp) writes: a JSON
+// array whose first record declares the table,
+//   {"key": "mode", "p50_s": "virtual", "speedup": "host", ...},
+// and whose other records are rows of numbers or strings matched across
+// the two files by the key column.  Every column is gated by its clock:
+//   virtual  deterministic simulation result: must match exactly, so a
+//            moved virtual result is re-pinned on purpose, never absorbed;
+//   host     machine-dependent: fails only on a collapse, below 25% of
+//            the baseline (for example an optimisation silently undone).
+// A record or column present in one file and missing from the other is a
+// regression too (a silently dropped or unpinned point).
 //
 // Usage:
-//   bench_regress --baseline=FILE --fresh=FILE --key=FIELD \
-//                 --metric=NAME:TOL_PCT[:higher|lower|exact] [--metric=...]
+//   bench_regress --baseline=FILE --fresh=FILE
 //
-// Direction: `higher` (default) means bigger is better — fail when fresh
-// drops more than TOL_PCT below baseline; `lower` means smaller is better;
-// `exact` ignores TOL_PCT and requires equality (for deterministic counts).
-// Every named metric must appear in at least one keyed baseline record, so
-// a misspelled --metric= is an error rather than a gate that checks nothing.
-// Exit codes: 0 ok, 1 regression, 2 usage or parse error (including a
-// metric that matches no record).
-#include <algorithm>
+// Exit codes: 0 ok; 1 regression; 2 usage or parse error, a row column
+// with no declaration, or baseline and fresh declarations that differ.
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -35,7 +30,7 @@
 namespace {
 
 // One bench record: field -> value.  Numbers keep a parsed double next to
-// the raw text so `exact` can compare what was written, not a reparse.
+// the raw text: the gates compare the doubles, the messages print the text.
 struct Record {
   std::map<std::string, std::string> raw;
   std::map<std::string, double> num;
@@ -43,7 +38,7 @@ struct Record {
 
 // Minimal parser for the benches' own output: `[ {"k": v, ...}, ... ]`
 // where v is a JSON number or a quoted string (no nesting, no escapes
-// beyond \" — the emitters never produce them).
+// beyond \" — bench::JsonTable never writes them).
 bool parse_records(const std::string& text, std::vector<Record>* out,
                    std::string* err) {
   std::size_t i = 0;
@@ -140,48 +135,68 @@ bool load_records(const std::string& path, std::vector<Record>* out) {
   return true;
 }
 
-enum class Direction { Higher, Lower, Exact };
+// A host column fails when fresh drops below this share of the baseline.
+constexpr double kHostFloor = 0.25;
 
-struct MetricSpec {
-  std::string name;
-  double tol_pct = 0.0;
-  Direction dir = Direction::Higher;
+// A loaded BENCH_*.json: its declaration (key column, column -> clock)
+// and its rows.
+struct Table {
+  std::string key;
+  std::map<std::string, std::string> clocks;
+  std::vector<Record> rows;
 };
 
-bool parse_metric(const std::string& spec, MetricSpec* out) {
-  const std::size_t c1 = spec.find(':');
-  if (c1 == std::string::npos) {
-    out->name = spec;
-    out->dir = Direction::Exact;
-    return !out->name.empty();
+bool load_table(const std::string& path, Table* out) {
+  std::vector<Record> records;
+  if (!load_records(path, &records)) return false;
+  const auto fail = [&](const std::string& what) {
+    std::fprintf(stderr, "bench_regress: %s: %s\n", path.c_str(),
+                 what.c_str());
+    return false;
+  };
+  if (records.empty() || records.front().raw.count("key") == 0) {
+    return fail("first record is not a {\"key\": ...} declaration");
   }
-  out->name = spec.substr(0, c1);
-  const std::size_t c2 = spec.find(':', c1 + 1);
-  const std::string tol = spec.substr(c1 + 1, c2 == std::string::npos
-                                                  ? std::string::npos
-                                                  : c2 - c1 - 1);
-  out->tol_pct = std::strtod(tol.c_str(), nullptr);
-  if (c2 != std::string::npos) {
-    const std::string d = spec.substr(c2 + 1);
-    if (d == "higher") {
-      out->dir = Direction::Higher;
-    } else if (d == "lower") {
-      out->dir = Direction::Lower;
-    } else if (d == "exact") {
-      out->dir = Direction::Exact;
-    } else {
-      return false;
+  for (const auto& [column, clock] : records.front().raw) {
+    if (column == "key") continue;
+    if (clock != "virtual" && clock != "host") {
+      return fail("column " + column + " has clock \"" + clock +
+                  "\", not virtual or host");
+    }
+    out->clocks[column] = clock;
+  }
+  out->key = records.front().raw.at("key");
+  out->rows.assign(records.begin() + 1, records.end());
+  for (const Record& r : out->rows) {
+    if (r.raw.count(out->key) == 0) {
+      return fail("a record has no " + out->key + " key");
+    }
+    for (const auto& [column, value] : r.raw) {
+      if (column != out->key && out->clocks.count(column) == 0) {
+        return fail("column " + column + " has no declaration");
+      }
     }
   }
-  return !out->name.empty();
+  return true;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_regress --baseline=FILE --fresh=FILE "
-               "--key=FIELD --metric=NAME:TOL_PCT[:higher|lower|exact] "
-               "[--metric=...]\n");
-  return 2;
+const Record* find_row(const Table& t, const std::string& key) {
+  for (const Record& r : t.rows) {
+    if (r.raw.at(t.key) == key) return &r;
+  }
+  return nullptr;
+}
+
+// Gates one column of one matched row by its clock.
+bool column_ok(const std::string& clock, const Record& base,
+               const Record& fresh, const std::string& column) {
+  const auto bn = base.num.find(column);
+  const auto fn = fresh.num.find(column);
+  if (bn == base.num.end() || fn == fresh.num.end()) {
+    return base.raw.at(column) == fresh.raw.at(column);
+  }
+  if (clock == "host") return fn->second >= bn->second * kHostFloor;
+  return fn->second == bn->second;
 }
 
 }  // namespace
@@ -189,107 +204,70 @@ int usage() {
 int main(int argc, char** argv) {
   std::string baseline_path;
   std::string fresh_path;
-  std::string key;
-  std::vector<MetricSpec> metrics;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--fresh=", 0) == 0) {
-      fresh_path = arg.substr(8);
-    } else if (arg.rfind("--key=", 0) == 0) {
-      key = arg.substr(6);
-    } else if (arg.rfind("--metric=", 0) == 0) {
-      MetricSpec spec;
-      if (!parse_metric(arg.substr(9), &spec)) return usage();
-      metrics.push_back(std::move(spec));
-    } else {
-      return usage();
-    }
+    if (arg.rfind("--baseline=", 0) == 0) baseline_path = arg.substr(11);
+    if (arg.rfind("--fresh=", 0) == 0) fresh_path = arg.substr(8);
   }
-  if (baseline_path.empty() || fresh_path.empty() || key.empty() ||
-      metrics.empty()) {
-    return usage();
-  }
-
-  std::vector<Record> baseline;
-  std::vector<Record> fresh;
-  if (!load_records(baseline_path, &baseline) ||
-      !load_records(fresh_path, &fresh)) {
+  if (argc != 3 || baseline_path.empty() || fresh_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_regress --baseline=FILE --fresh=FILE\n");
     return 2;
   }
 
-  bool unmatched = false;
-  for (const MetricSpec& m : metrics) {
-    const bool found =
-        std::any_of(baseline.begin(), baseline.end(), [&](const Record& r) {
-          return r.raw.count(key) != 0 && r.raw.count(m.name) != 0;
-        });
-    if (!found) {
-      std::fprintf(stderr,
-                   "bench_regress: metric %s matches no %s-keyed record of %s\n",
-                   m.name.c_str(), key.c_str(), baseline_path.c_str());
-      unmatched = true;
-    }
+  Table baseline;
+  Table fresh;
+  if (!load_table(baseline_path, &baseline) ||
+      !load_table(fresh_path, &fresh)) {
+    return 2;
   }
-  if (unmatched) return 2;
+  if (baseline.key != fresh.key || baseline.clocks != fresh.clocks) {
+    std::fprintf(stderr,
+                 "bench_regress: %s and %s declare different tables; "
+                 "re-pin the baseline on purpose\n",
+                 baseline_path.c_str(), fresh_path.c_str());
+    return 2;
+  }
 
+  const std::string& key = baseline.key;
   int regressions = 0;
   int checked = 0;
-  for (const Record& base : baseline) {
-    const auto bkey = base.raw.find(key);
-    if (bkey == base.raw.end()) continue;  // record not keyed (e.g. summary)
-    const Record* match = nullptr;
-    for (const Record& f : fresh) {
-      const auto fkey = f.raw.find(key);
-      if (fkey != f.raw.end() && fkey->second == bkey->second) {
-        match = &f;
-        break;
-      }
+  for (const Record& f : fresh.rows) {
+    if (find_row(baseline, f.raw.at(key)) == nullptr) {
+      std::fprintf(stderr, "REGRESS %s=%s: record not in the baseline\n",
+                   key.c_str(), f.raw.at(key).c_str());
+      ++regressions;
     }
+  }
+  for (const Record& base : baseline.rows) {
+    const std::string& k = base.raw.at(key);
+    const Record* match = find_row(fresh, k);
     if (match == nullptr) {
-      std::fprintf(stderr,
-                   "REGRESS %s=%s: record missing from fresh run\n",
-                   key.c_str(), bkey->second.c_str());
+      std::fprintf(stderr, "REGRESS %s=%s: record missing from fresh run\n",
+                   key.c_str(), k.c_str());
       ++regressions;
       continue;
     }
-    for (const MetricSpec& m : metrics) {
-      const auto bv = base.raw.find(m.name);
-      if (bv == base.raw.end()) continue;  // metric not in this record
-      const auto fv = match->raw.find(m.name);
+    for (const auto& [column, clock] : baseline.clocks) {
+      const auto bv = base.raw.find(column);
+      const auto fv = match->raw.find(column);
+      if (bv == base.raw.end() && fv == match->raw.end()) continue;
       ++checked;
-      if (fv == match->raw.end()) {
-        std::fprintf(stderr, "REGRESS %s=%s: metric %s missing\n", key.c_str(),
-                     bkey->second.c_str(), m.name.c_str());
+      if (bv == base.raw.end() || fv == match->raw.end()) {
+        std::fprintf(stderr, "REGRESS %s=%s: %s only in the %s\n",
+                     key.c_str(), k.c_str(), column.c_str(),
+                     bv == base.raw.end() ? "fresh run" : "baseline");
         ++regressions;
-        continue;
-      }
-      const auto bn = base.num.find(m.name);
-      const auto fn = match->num.find(m.name);
-      const bool numeric =
-          bn != base.num.end() && fn != match->num.end();
-      bool ok = true;
-      if (m.dir == Direction::Exact || !numeric) {
-        ok = numeric ? bn->second == fn->second : bv->second == fv->second;
-      } else if (m.dir == Direction::Higher) {
-        ok = fn->second >= bn->second * (1.0 - m.tol_pct / 100.0);
-      } else {
-        ok = fn->second <= bn->second * (1.0 + m.tol_pct / 100.0);
-      }
-      if (!ok) {
-        std::fprintf(stderr,
-                     "REGRESS %s=%s: %s baseline %s fresh %s (tol %.1f%% %s)\n",
-                     key.c_str(), bkey->second.c_str(), m.name.c_str(),
-                     bv->second.c_str(), fv->second.c_str(), m.tol_pct,
-                     m.dir == Direction::Exact
-                         ? "exact"
-                         : (m.dir == Direction::Higher ? "higher" : "lower"));
+      } else if (!column_ok(clock, base, *match, column)) {
+        std::fprintf(stderr, "REGRESS %s=%s: %s baseline %s fresh %s (%s)\n",
+                     key.c_str(), k.c_str(), column.c_str(),
+                     bv->second.c_str(), fv->second.c_str(),
+                     clock == "host" ? "host: below 25% of baseline"
+                                     : "virtual: exact");
         ++regressions;
       } else {
-        std::printf("ok      %s=%s: %s %s -> %s\n", key.c_str(),
-                    bkey->second.c_str(), m.name.c_str(), bv->second.c_str(),
-                    fv->second.c_str());
+        std::printf("ok      %s=%s: %s %s -> %s\n", key.c_str(), k.c_str(),
+                    column.c_str(), bv->second.c_str(), fv->second.c_str());
       }
     }
   }

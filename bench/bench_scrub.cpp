@@ -204,11 +204,8 @@ OrderResult run_order_comparison(unsigned files) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_scrub.json";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+    if (std::string(argv[i]) == "--smoke") smoke = true;
   }
   const bench::ObsCli cli = bench::parse_obs_cli(argc, argv);
   const std::uint64_t seed = cli.seed_set ? cli.seed : 42;
@@ -262,36 +259,33 @@ int main(int argc, char** argv) {
   std::printf("  archive-order| %8" PRIu64 " | %6" PRIu64 " | %15.0f\n",
               order.segments, order.naive_mounts, order.naive_seconds);
 
-  std::string json = "[\n";
+  // Every column is a verdict count or a virtual-time result.
+  const auto count = [](const char* name) {
+    return bench::Column{name, bench::Clock::Virtual, "%.0f"};
+  };
+  bench::JsonTable table(
+      "scrub", "scenario",
+      {count("injected"), count("detected"), count("repaired_from_copy"),
+       count("remigrated"), count("unrepairable"), count("rescrub_mismatches"),
+       count("segments"), count("tape_ordered_seconds"), count("naive_seconds"),
+       count("tape_ordered_mounts"), count("naive_mounts"),
+       {"speedup", bench::Clock::Virtual, "%.2f"}});
   for (const ScenarioResult& s : scenarios) {
-    char row[320];
-    std::snprintf(row, sizeof(row),
-                  "  {\"scenario\": \"%s\", \"injected\": %" PRIu64
-                  ", \"detected\": %" PRIu64 ", \"repaired_from_copy\": %" PRIu64
-                  ", \"remigrated\": %" PRIu64 ", \"unrepairable\": %" PRIu64
-                  ", \"rescrub_mismatches\": %" PRIu64 "},\n",
-                  s.name.c_str(), s.injected, s.detected, s.repaired_from_copy,
-                  s.remigrated, s.unrepairable, s.rescrub_mismatches);
-    json += row;
+    table.row(s.name, {{"injected", s.injected},
+                       {"detected", s.detected},
+                       {"repaired_from_copy", s.repaired_from_copy},
+                       {"remigrated", s.remigrated},
+                       {"unrepairable", s.unrepairable},
+                       {"rescrub_mismatches", s.rescrub_mismatches}});
   }
-  char row[320];
-  std::snprintf(row, sizeof(row),
-                "  {\"scenario\": \"scan_order\", \"segments\": %" PRIu64
-                ", \"tape_ordered_seconds\": %.0f, \"naive_seconds\": %.0f"
-                ", \"tape_ordered_mounts\": %" PRIu64
-                ", \"naive_mounts\": %" PRIu64 ", \"speedup\": %.2f}\n",
-                order.segments, order.tape_ordered_seconds, order.naive_seconds,
-                order.tape_ordered_mounts, order.naive_mounts, order.speedup());
-  json += row;
-  json += "]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_scrub: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
+  table.row("scan_order",
+            {{"segments", order.segments},
+             {"tape_ordered_seconds", order.tape_ordered_seconds},
+             {"naive_seconds", order.naive_seconds},
+             {"tape_ordered_mounts", order.tape_ordered_mounts},
+             {"naive_mounts", order.naive_mounts},
+             {"speedup", order.speedup()}});
+  if (!table.write(argc, argv)) return 1;
 
   bench::section("paper vs measured");
   bench::compare("tape-ordered scrub speedup", "one mount per volume",

@@ -10,7 +10,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace cpa::bench {
 
@@ -36,6 +40,100 @@ inline std::string fmt(const char* format, double value) {
   std::snprintf(buf, sizeof(buf), format, value);
   return buf;
 }
+
+/// The clock a BENCH_*.json column is measured on.  `Virtual`: a result of
+/// the deterministic simulation (virtual seconds, counts, their ratios),
+/// the same in every build and on every machine; bench_regress gates it
+/// exactly.  `Host`: depends on the machine that ran the bench;
+/// bench_regress fails it only on a collapse.
+enum class Clock { Virtual, Host };
+
+struct Column {
+  const char* name;
+  Clock clock;
+  const char* format;  ///< printf format of the value ("%.0f" for counts)
+};
+
+/// A bench's BENCH_<name>.json, declared once: the key column and each
+/// column's name, clock and format.  The file is a JSON array whose first
+/// record declares the table, `{"key": KEY, NAME: "virtual"|"host", ...}`,
+/// followed by one record per row; bench_regress reads the key and every
+/// column's clock from that record.  A row holds any subset of the
+/// columns, written in declaration order.
+class JsonTable {
+ public:
+  JsonTable(std::string bench, std::string key, std::vector<Column> columns)
+      : bench_(std::move(bench)), key_(std::move(key)),
+        columns_(std::move(columns)) {}
+
+  /// One value of a row, named by its declared column.
+  struct Cell {
+    template <typename T>
+    Cell(const char* column, T v) : name(column), value(static_cast<double>(v)) {}
+    const char* name;
+    double value;
+  };
+
+  /// Adds a row.  `key` is written as a JSON number when it reads as one,
+  /// else as a string.
+  void row(const std::string& key, std::initializer_list<Cell> values) {
+    std::vector<std::optional<double>> cells(columns_.size());
+    for (const auto& [name, value] : values) {
+      std::size_t c = 0;
+      while (c < columns_.size() && std::string(columns_[c].name) != name) ++c;
+      if (c == columns_.size()) {
+        std::fprintf(stderr, "%s: column %s is not declared\n",
+                     bench_.c_str(), name);
+        std::abort();
+      }
+      cells[c] = value;
+    }
+    const bool numeric = !key.empty() && key.find_first_not_of(
+                                             "0123456789") == std::string::npos;
+    std::string rec = "{\"" + key_ + "\": " +
+                      (numeric ? key : "\"" + key + "\"");
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      if (cells[c]) {
+        rec += std::string(", \"") + columns_[c].name +
+               "\": " + fmt(columns_[c].format, *cells[c]);
+      }
+    }
+    rows_.push_back(rec + "}");
+  }
+
+  /// Writes the table to `--json=PATH` (default BENCH_<bench>.json).
+  /// Returns false, with a message, when the file cannot be written.
+  [[nodiscard]] bool write(int argc, char** argv) const {
+    std::string path = "BENCH_" + bench_ + ".json";
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--json=", 0) == 0) path = arg.substr(7);
+    }
+    std::string json = "[\n  {\"key\": \"" + key_ + "\"";
+    for (const Column& c : columns_) {
+      json += std::string(", \"") + c.name + "\": " +
+              (c.clock == Clock::Virtual ? "\"virtual\"" : "\"host\"");
+    }
+    json += "}";
+    for (const std::string& r : rows_) json += ",\n  " + r;
+    json += "\n]\n";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    const bool ok = f != nullptr && std::fputs(json.c_str(), f) >= 0;
+    if (f == nullptr || std::fclose(f) != 0 || !ok) {
+      std::fprintf(stderr, "bench_%s: cannot write %s\n", bench_.c_str(),
+                   path.c_str());
+      return false;
+    }
+    std::printf("\n  wrote %s\n", path.c_str());
+    return true;
+  }
+
+ private:
+  std::string bench_;
+  std::string key_;
+  std::vector<Column> columns_;
+  std::vector<std::string> rows_;
+};
 
 /// Observability flags shared by the bench mains.  `--trace=out.json`
 /// turns span recording on and writes Chrome trace JSON (open it in

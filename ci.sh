@@ -149,92 +149,30 @@ cmake --build build-tsan -j "$JOBS" --target pftool_test
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/pftool_test \
   --gtest_filter='RtEngine*:RestartJournal*:JournalProperty*:WorkQueue*'
 
-# Perf-regression gate: diff the freshly produced BENCH_*.json against the
-# checked-in baselines.  CPA_UPDATE_BASELINE=1 regenerates the baselines
+# Perf-regression gate: diff each freshly produced BENCH_*.json against its
+# checked-in baseline.  Every column declares its own clock in the file
+# (bench::JsonTable), so bench_regress gates virtual columns exactly and
+# host columns against a collapse; its self-tests run in ctest
+# (bench_regress_test).  CPA_UPDATE_BASELINE=1 regenerates the baselines
 # instead of gating (mirroring CPA_UPDATE_GOLDEN for the campaign digest).
 echo "== bench regression gate =="
 BASELINES=bench/baselines
-REGRESS=./build-release/bench/bench_regress
-if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
-  mkdir -p "$BASELINES"
-  cp build-release/BENCH_flow_churn.json "$BASELINES/BENCH_flow_churn.json"
-  cp build-asan/BENCH_scrub.json "$BASELINES/BENCH_scrub.json"
-  cp build-asan/BENCH_fairshare.json "$BASELINES/BENCH_fairshare.json"
-  cp build-asan/BENCH_recovery.json "$BASELINES/BENCH_recovery.json"
-  cp build-asan/BENCH_md_batch.json "$BASELINES/BENCH_md_batch.json"
-  echo "baselines regenerated in $BASELINES"
-else
-  # Churn speedup is wall-clock derived, so only a collapse (for example
-  # the incremental scheduler silently reverting to full recompute) trips
-  # the loose tolerance; pool counts are deterministic and exact.
-  "$REGRESS" --baseline="$BASELINES/BENCH_flow_churn.json" \
-    --fresh=build-release/BENCH_flow_churn.json --key=flows \
-    --metric=pools --metric=speedup:75:higher
-  # Every column below is virtual time or a count, deterministic in every
-  # build type, so every one is gated exactly: a moved virtual result must
-  # be re-pinned on purpose, never absorbed by a tolerance.
-  # Fair-share latencies and the interactive p99 isolation ratio.
-  "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \
-    --fresh=build-asan/BENCH_fairshare.json --key=mode \
-    --metric=bulk_jobs --metric=interactive_jobs \
-    --metric=p50_s --metric=p99_s --metric=makespan_s \
-    --metric=max_queue_wait_s --metric=p99_ratio
-  # Scrub verdict counts and the tape-ordered vs naive scan times.
-  "$REGRESS" --baseline="$BASELINES/BENCH_scrub.json" \
-    --fresh=build-asan/BENCH_scrub.json --key=scenario \
-    --metric=injected --metric=detected --metric=repaired_from_copy \
-    --metric=remigrated --metric=unrepairable --metric=rescrub_mismatches \
-    --metric=segments --metric=tape_ordered_mounts --metric=naive_mounts \
-    --metric=tape_ordered_seconds --metric=naive_seconds --metric=speedup
-  # Recovery replay counts and virtual recovery time.  Log and checkpoint
-  # sizes pin the record codec, so any byte drift in the on-disk format
-  # fails here.
-  "$REGRESS" --baseline="$BASELINES/BENCH_recovery.json" \
-    --fresh=build-asan/BENCH_recovery.json --key=scenario \
-    --metric=mutations --metric=replayed \
-    --metric=log_bytes --metric=checkpoint_bytes --metric=recovery_ms
-  # Batched vs one-round-trip-per-mutation costs and their speedups.
-  "$REGRESS" --baseline="$BASELINES/BENCH_md_batch.json" \
-    --fresh=build-asan/BENCH_md_batch.json --key=case \
-    --metric=servers --metric=storm_plain_s --metric=storm_batched_s \
-    --metric=delete_plain_s --metric=delete_batched_s \
-    --metric=storm_speedup --metric=delete_speedup
-  # Self-test: a doctored baseline must trip the gate (exit non-zero).
-  doctored=$(mktemp)
-  sed -E 's/"speedup": [0-9.]+/"speedup": 99999.0/' \
-    "$BASELINES/BENCH_flow_churn.json" > "$doctored"
-  if "$REGRESS" --baseline="$doctored" \
-      --fresh=build-release/BENCH_flow_churn.json --key=flows \
-      --metric=speedup:75:higher >/dev/null 2>&1; then
-    echo "ERROR: regression gate failed to flag a doctored baseline" >&2
-    rm -f "$doctored"
-    exit 1
+GATED=(  # bench, build dir whose smoke run above wrote its JSON
+  "flow_churn build-release"
+  "scrub build-asan"
+  "fairshare build-asan"
+  "recovery build-asan"
+  "md_batch build-asan"
+)
+for entry in "${GATED[@]}"; do
+  read -r bench dir <<<"$entry"
+  if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
+    cp "$dir/BENCH_$bench.json" "$BASELINES/BENCH_$bench.json"
+    echo "re-pinned $BASELINES/BENCH_$bench.json"
+  else
+    ./build-release/bench/bench_regress \
+      --baseline="$BASELINES/BENCH_$bench.json" --fresh="$dir/BENCH_$bench.json"
   fi
-  # Self-test: an exact virtual column moved by 0.1 s must trip its gate.
-  python3 -c 'import json, sys
-rows = json.load(open(sys.argv[1]))
-for r in rows:
-    if "p99_s" in r:
-        r["p99_s"] = round(r["p99_s"] + 0.1, 1)
-print(json.dumps(rows))' "$BASELINES/BENCH_fairshare.json" > "$doctored"
-  rc=0
-  "$REGRESS" --baseline="$doctored" --fresh=build-asan/BENCH_fairshare.json \
-    --key=mode --metric=p99_s >/dev/null 2>&1 || rc=$?
-  rm -f "$doctored"
-  if [[ $rc -ne 1 ]]; then
-    echo "ERROR: exact gate missed a doctored p99_s (exit $rc)" >&2
-    exit 1
-  fi
-  # Self-test: a misspelled metric next to valid ones is a usage error,
-  # not a gate that silently checks nothing.
-  rc=0
-  "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \
-    --fresh=build-asan/BENCH_fairshare.json --key=mode \
-    --metric=p99_s --metric=p99_sx >/dev/null 2>&1 || rc=$?
-  if [[ $rc -ne 2 ]]; then
-    echo "ERROR: misspelled --metric= did not exit 2 (exit $rc)" >&2
-    exit 1
-  fi
-fi
+done
 
 echo "CI passed."

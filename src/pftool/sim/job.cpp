@@ -178,34 +178,13 @@ class WorkerProc {
     // content tags plus sizes; the cost charged is two stats.
     const Tick cost = 2 * job_.cfg_.stat_cost;
     job_.env_.sim->after(cost, [this, item] {
-      bool comparable = true;
-      bool match = false;
       const auto src_tag = job_.env_.src_fs->read_tag(item.src);
-      std::uint64_t dst_tag = 0;
-      std::uint64_t dst_size = 0;
-      if (job_.env_.fuse != nullptr && job_.env_.fuse->is_chunked(item.dst)) {
-        const auto st = job_.env_.fuse->stat(item.dst);
-        const auto tag = job_.env_.fuse->origin_tag(item.dst);
-        if (!st.ok() || !tag.ok() || !st.value().complete) {
-          comparable = false;
-        } else {
-          dst_size = st.value().size;
-          dst_tag = tag.value();
-        }
-      } else {
-        const auto st = job_.env_.dst_fs->stat(item.dst);
-        const auto tag = job_.env_.dst_fs->read_tag(item.dst);
-        if (!st.ok() || !tag.ok()) {
-          comparable = false;
-        } else {
-          dst_size = st.value().size;
-          dst_tag = tag.value();
-        }
-      }
-      if (!src_tag.ok()) comparable = false;
-      if (comparable) {
-        match = dst_size == item.file_size && dst_tag == src_tag.value();
-      }
+      const auto dst = job_.read_dst(
+          item.dst,
+          job_.env_.fuse != nullptr && job_.env_.fuse->is_chunked(item.dst));
+      const bool comparable = src_tag.ok() && dst && dst->complete;
+      const bool match = comparable && dst->size == item.file_size &&
+                         dst->tag == src_tag.value();
       job_.env_.sim->after(job_.cfg_.msg_latency, [this, item, comparable, match] {
         job_.on_compared(this, item, comparable, match);
       });
@@ -251,7 +230,6 @@ class TapeRestoreProc {
           std::move(paths), opts,
           [this, metas = std::move(metas)](const hsm::RecallReport& r) mutable {
             PftoolJob::RestoreStats stats;
-            stats.failed = r.files_failed;
             stats.unrepairable = r.files_unrepairable;
             stats.fixity_verified = r.fixity_verified;
             stats.fixity_mismatches = r.fixity_mismatches;
@@ -596,19 +574,10 @@ void PftoolJob::plan_copy(const FileMeta& meta) {
     // No journal entry means either a fresh file or one a previous attempt
     // finished (and forgot).  If the destination already verifies against
     // the source, skip it — a relaunched job then re-sends only real work.
-    bool done_already = false;
-    if (env_.fuse != nullptr && env_.fuse->is_chunked(dst)) {
-      const auto st = env_.fuse->stat(dst);
-      const auto tag = env_.fuse->origin_tag(dst);
-      done_already = st.ok() && st.value().complete &&
-                     st.value().size == meta.size && tag.ok() &&
-                     tag.value() == meta.tag;
-    } else if (env_.dst_fs->exists(dst)) {
-      const auto st = env_.dst_fs->stat(dst);
-      const auto tag = env_.dst_fs->read_tag(dst);
-      done_already = st.ok() && st.value().size == meta.size && tag.ok() &&
-                     tag.value() == meta.tag;
-    }
+    const auto done = read_dst(
+        dst, env_.fuse != nullptr && env_.fuse->is_chunked(dst));
+    const bool done_already = done && done->complete &&
+                              done->size == meta.size && done->tag == meta.tag;
     if (done_already) {
       report_.chunks_skipped_restart += plan.chunks.size();
       return;
@@ -734,6 +703,27 @@ void PftoolJob::on_chunk_done(WorkerProc* w, const WorkItem& item, bool ok) {
   pump();
 }
 
+std::optional<PftoolJob::DstImage> PftoolJob::read_dst(const std::string& dst,
+                                                      bool via_fuse) const {
+  DstImage img;
+  if (via_fuse) {
+    const auto st = env_.fuse->stat(dst);
+    const auto tag = env_.fuse->origin_tag(dst);
+    if (!st.ok() || !tag.ok()) return std::nullopt;
+    img.size = st.value().size;
+    img.tag = tag.value();
+    img.complete = st.value().complete;
+    return img;
+  }
+  const auto st = env_.dst_fs->stat(dst);
+  if (!st.ok()) return std::nullopt;
+  const auto tag = env_.dst_fs->read_tag(dst);
+  if (!tag.ok()) return std::nullopt;
+  img.size = st.value().size;
+  img.tag = tag.value();
+  return img;
+}
+
 void PftoolJob::finalize_file(const std::string& dst) {
   auto it = pending_files_.find(dst);
   assert(it != pending_files_.end());
@@ -757,14 +747,8 @@ void PftoolJob::finalize_file(const std::string& dst) {
     // --verify: read the destination's content tag back and compare it
     // against the source's.  This is the pfcm comparison inlined into the
     // copy job, so a corrupted write surfaces before the job reports done.
-    bool match = false;
-    if (pf.mode == CopyMode::FuseNtoN) {
-      const auto tag = env_.fuse->origin_tag(dst);
-      match = tag.ok() && tag.value() == pf.tag;
-    } else {
-      const auto tag = env_.dst_fs->read_tag(dst);
-      match = tag.ok() && tag.value() == pf.tag;
-    }
+    const auto written = read_dst(dst, pf.mode == CopyMode::FuseNtoN);
+    const bool match = written && written->tag == pf.tag;
     if (!match) {
       ++report_.fixity_mismatches;
       ++report_.files_failed;
@@ -802,21 +786,22 @@ void PftoolJob::on_restored(TapeRestoreProc* tp, std::vector<FileMeta> metas,
   if (finished_) return;
   idle_tapeprocs_.push_back(tp);
   ++report_.tapes_touched;
-  const unsigned failed = stats.failed;
-  report_.files_restored += metas.size() - std::min<std::size_t>(failed, metas.size());
-  report_.files_failed += failed;
   report_.files_unrepairable += stats.unrepairable;
   report_.fixity_verified += stats.fixity_verified;
   report_.fixity_mismatches += stats.fixity_mismatches;
   // "receives additional restored tape file copy request from TapeProc
   // processes and assigns them to Workers for further copying" — every
-  // successfully restored file becomes a normal copy job.
-  // (When a batch partially fails we conservatively re-plan only the
-  // files the recall reported as resolved; failures are rare in the sim.)
-  std::size_t to_plan = metas.size() - std::min<std::size_t>(failed, metas.size());
-  for (std::size_t i = 0; i < metas.size() && to_plan > 0; ++i, --to_plan) {
+  // file the recall brought back becomes a normal copy job.  A source
+  // still Migrated was not recalled: copying it would copy its stub.
+  for (const FileMeta& m : metas) {
+    const auto st = env_.src_fs->stat(m.path);
+    if (!st.ok() || st.value().dmapi == pfs::DmapiState::Migrated) {
+      ++report_.files_failed;
+      continue;
+    }
+    ++report_.files_restored;
     meter_.record(env_.sim->now(), 0, 0);
-    plan_copy(metas[i]);
+    plan_copy(m);
   }
   pump();
 }

@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,9 +139,9 @@ class PftoolJob {
   void on_compared(WorkerProc* w, const WorkItem& item, bool comparable,
                    bool match);
   /// Fixity outcome of one tape-restore batch (forwarded from the HSM's
-  /// RecallReport).  `unrepairable` files are a subset of `failed`.
+  /// RecallReport).  `unrepairable` files are among those the recall left
+  /// Migrated.
   struct RestoreStats {
-    unsigned failed = 0;
     unsigned unrepairable = 0;
     unsigned fixity_verified = 0;
     unsigned fixity_mismatches = 0;
@@ -170,6 +171,17 @@ class PftoolJob {
   void enqueue_file(const FileMeta& meta);
   void plan_copy(const FileMeta& meta);
   void finalize_file(const std::string& dst);
+  /// A destination file as pfcm, --verify and the restart check read it:
+  /// FUSE's logical file when `via_fuse`, else the destination PFS file,
+  /// whose read_tag stamps the atime space management reads.  Empty when
+  /// the file or its tag cannot be read.
+  struct DstImage {
+    std::uint64_t size = 0;
+    std::uint64_t tag = 0;
+    bool complete = true;  ///< every FUSE chunk written
+  };
+  [[nodiscard]] std::optional<DstImage> read_dst(const std::string& dst,
+                                                 bool via_fuse) const;
   void maybe_finish();
   void finish();
   [[nodiscard]] std::string dst_path_for(const std::string& src_path) const;

@@ -192,6 +192,50 @@ TEST_F(PftoolSimTest, RestoreDirectionEngagesTapeProcs) {
   }
 }
 
+TEST_F(PftoolSimTest, PartiallyFailedRecallCopiesOnlyRecalledFiles) {
+  // Six files on one cartridge; bit-rot on one segment (not the batch's
+  // last) makes its recall fail while the other five come back.
+  std::vector<std::string> paths;
+  for (int f = 0; f < 6; ++f) {
+    const std::string name = "/f" + std::to_string(f);
+    ASSERT_EQ(sys_.make_file(sys_.scratch(), "/runs" + name, 50 * kMB,
+                             0x2000 + f),
+              pfs::Errc::Ok);
+    paths.push_back("/archive/runs" + name);
+  }
+  sys_.pfcp_archive("/runs", "/archive/runs");
+  bool migrated = false;
+  sys_.hsm().migrate_batch(0, paths, "g", [&](const hsm::MigrateReport& r) {
+    EXPECT_EQ(r.files_migrated, 6u);
+    migrated = true;
+  });
+  sys_.sim().run();
+  ASSERT_TRUE(migrated);
+  tape::Cartridge* cart = nullptr;
+  sys_.library().for_each_cartridge([&](tape::Cartridge& c) {
+    if (cart == nullptr && c.bytes_used() > 0) cart = &c;
+  });
+  ASSERT_NE(cart, nullptr);
+  ASSERT_EQ(cart->corrupt_random_segments(1, 1), 1u);
+
+  const JobReport r = sys_.pfcp_restore("/archive/runs", "/back");
+  unsigned still_migrated = 0;
+  for (const std::string& p : paths) {
+    const bool recalled = sys_.archive_fs().stat(p).value().dmapi !=
+                          pfs::DmapiState::Migrated;
+    const std::string dst = "/back" + p.substr(std::string("/archive/runs").size());
+    EXPECT_EQ(sys_.scratch().exists(dst), recalled) << dst;
+    if (!recalled) {
+      ++still_migrated;
+      EXPECT_NE(p, paths.back()) << "the victim must not end the batch";
+    }
+  }
+  EXPECT_EQ(still_migrated, 1u);
+  EXPECT_EQ(r.files_restored, 5u);
+  EXPECT_EQ(r.files_copied, 5u);
+  EXPECT_EQ(r.files_failed, 1u);
+}
+
 TEST_F(PftoolSimTest, RestartSkipsKnownGoodChunks) {
   ASSERT_EQ(sys_.make_file(sys_.scratch(), "/data/big", 20 * kGB, 0x5E57),
             pfs::Errc::Ok);
